@@ -20,7 +20,6 @@ from .embedding import (
     RotationEmbedding,
     dual,
     embed,
-    faces_and_weights,
     is_planar,
     kuratowski_witness,
     triangulate,

@@ -145,13 +145,12 @@ def is_k_crossing_critical(
     """cr(g) >= k and cr(g minus e) <= k - 1 for every edge e."""
     if k < 1:
         raise CrossboundError("k must be >= 1")
-    ok, _ = cr_at_most(g, k - 1, max_k=max_k, max_edges=max_edges)
-    if ok:
+    if cr_at_most(g, k - 1, max_k=max_k, max_edges=max_edges)[0]:
         return False
-    for e in sorted(g.edges()):
-        if crossing_number(delete_edge(g, e), max_k=max_k, max_edges=max_edges) > k - 1:
-            return False
-    return True
+    return all(
+        cr_at_most(delete_edge(g, e), k - 1, max_k=max_k, max_edges=max_edges)[0]
+        for e in sorted(g.edges())
+    )
 
 
 @dataclass(frozen=True)

@@ -41,17 +41,20 @@ from . import generators
 def _resolve_graph(spec: str, fmt: str, seed: int) -> Graph:
     if os.path.exists(spec):
         return parse_graph(Path(spec).read_bytes(), fmt)
-    parts = spec.split(":")
-    family, args = parts[0], parts[1:]
+    family, *fields = spec.split(":")
+    try:
+        args = [int(x) for x in fields]
+    except ValueError:
+        raise CrossboundError(f"{spec!r}: sizes in a family spec must be integers") from None
     rng = random.Random(seed)
     if family == "complete" and len(args) == 1:
-        return generators.complete(int(args[0]))
+        return generators.complete(*args)
     if family == "bipartite" and len(args) == 2:
-        return generators.complete_bipartite(int(args[0]), int(args[1]))
+        return generators.complete_bipartite(*args)
     if family == "planar-plus" and len(args) == 2:
-        return generators.planar_plus(int(args[0]), int(args[1]), rng)[0]
+        return generators.planar_plus(*args, rng)[0]
     if family == "maximal-planar" and len(args) == 1:
-        return generators.random_maximal_planar(int(args[0]), rng)
+        return generators.random_maximal_planar(*args, rng)
     if family in generators.NAMED and not args:
         return generators.named(family)
     raise CrossboundError(
@@ -99,13 +102,8 @@ def _fail(message: str, code: int):
 
 
 @click.group()
-@click.option("--jobs", type=int, envvar="CROSSBOUND_JOBS", default=1,
-              help="Worker cap (current implementation runs sequentially).")
-@click.pass_context
-def main(ctx, jobs):
+def main():
     """Crossing-number and skewness toolkit."""
-    ctx.ensure_object(dict)
-    ctx.obj["jobs"] = max(1, jobs)
 
 
 _input_arg = click.argument("input_spec", metavar="INPUT")

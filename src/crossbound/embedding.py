@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
@@ -94,18 +94,30 @@ class RotationEmbedding:
         return tuple(sorted({self.face_of(v, w) for w in self.graph.neighbors(v)}))
 
 
+def planar_nx(gn: nx.Graph) -> bool:
+    """Yes/no planarity test of a networkx graph; no witness is built."""
+    return nx.check_planarity(gn, counterexample=False)[0]
+
+
+def witness_nx(gn: nx.Graph) -> Optional[FrozenSet[Edge]]:
+    """Edges of a K5/K3,3 subdivision of a networkx graph, or None if it
+    is planar."""
+    ok, cex = nx.check_planarity(gn, counterexample=True)
+    if ok:
+        return None
+    return frozenset(norm_edge(u, v) for u, v in cex.edges())
+
+
 def is_planar(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return nx.check_planarity(g.to_networkx(), counterexample=False)[0]
+    return g.n == 0 or planar_nx(g.to_networkx())
 
 
 def kuratowski_witness(g: Graph) -> FrozenSet[Edge]:
     """Edges of a K5/K3,3 subdivision of g; errors if g is planar."""
-    ok, cex = nx.check_planarity(g.to_networkx(), counterexample=True)
-    if ok:
+    witness = witness_nx(g.to_networkx())
+    if witness is None:
         raise GraphFormatError("graph is planar; no Kuratowski witness exists")
-    return frozenset(norm_edge(u, v) for u, v in cex.edges())
+    return witness
 
 
 def embed(g: Graph) -> RotationEmbedding:
@@ -121,13 +133,9 @@ def embed(g: Graph) -> RotationEmbedding:
         raise GraphFormatError("embedding needs a connected graph")
     ok, emb = nx.check_planarity(gn, counterexample=False)
     if not ok:
-        raise NonPlanarError("graph is not planar", witness=kuratowski_witness(g))
+        raise NonPlanarError("graph is not planar", witness=witness_nx(gn))
     rotation = {v: tuple(order) for v, order in emb.get_data().items()}
     return RotationEmbedding(g, rotation)
-
-
-def faces_and_weights(emb: RotationEmbedding) -> Tuple[FaceRecord, ...]:
-    return emb.faces
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,6 @@ def _insert_chord(rotation: Dict[int, list], walk: Tuple[int, ...], i: int, j: i
     incoming neighbor), inserting each endpoint right after the other
     occurrence's walk predecessor routes the chord inside this face.
     """
-    k = len(walk)
     a, pa = walk[i], walk[i - 1]
     c, pc = walk[j], walk[j - 1]
     rotation[a].insert(rotation[a].index(pa) + 1, c)

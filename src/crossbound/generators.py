@@ -81,6 +81,8 @@ def planar_plus(n: int, t: int, rng: random.Random) -> Tuple[Graph, Tuple[Edge, 
 
     Also returns the added edges: removing them restores planarity, so
     they certify skewness <= t."""
+    if t < 0:
+        raise CrossboundError("planar-plus needs t >= 0")
     g = random_maximal_planar(n, rng)
     non_edges = sorted(
         norm_edge(u, v)

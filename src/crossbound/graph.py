@@ -8,7 +8,7 @@ workers.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import networkx as nx
 
@@ -102,10 +102,6 @@ class Graph:
     def from_networkx(cls, g: nx.Graph) -> "Graph":
         return cls(g.nodes(), ((u, v) for u, v in g.edges()))
 
-    @classmethod
-    def from_edges(cls, edges: Iterable[Edge], vertices: Iterable[int] = ()) -> "Graph":
-        return cls(vertices, edges)
-
 
 def min_degree(g: Graph) -> int:
     """Minimum vertex degree; errors on the empty graph."""
@@ -142,7 +138,19 @@ def contract_edges(g: Graph, contract: Iterable[Edge]) -> Tuple[Graph, Dict[int,
     for e in contract:
         if not g.has_edge(*e):
             raise MissingEdgeError(f"{e} is not an edge")
-    parent = {v: v for v in g.vertices}
+    mapping = component_roots(g.vertices, contract)
+    edges = {
+        norm_edge(mapping[u], mapping[v])
+        for u, v in g.edges()
+        if mapping[u] != mapping[v]
+    }
+    return Graph(set(mapping.values()), edges), mapping
+
+
+def component_roots(vertices: Iterable[int], edges: Iterable[Edge]) -> Dict[int, int]:
+    """Union-find over ``edges``: maps each vertex to the lowest id in its
+    connected component, in the order of ``vertices``."""
+    parent = {v: v for v in vertices}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -150,18 +158,22 @@ def contract_edges(g: Graph, contract: Iterable[Edge]) -> Tuple[Graph, Dict[int,
             x = parent[x]
         return x
 
-    for u, v in contract:
+    for u, v in edges:
         ru, rv = find(u), find(v)
         if ru != rv:
-            lo, hi = (ru, rv) if ru < rv else (rv, ru)
-            parent[hi] = lo
-    mapping = {v: find(v) for v in g.vertices}
-    edges = {
-        norm_edge(mapping[u], mapping[v])
-        for u, v in g.edges()
-        if mapping[u] != mapping[v]
-    }
-    return Graph(set(mapping.values()), edges), mapping
+            parent[max(ru, rv)] = min(ru, rv)
+    return {v: find(v) for v in parent}
+
+
+def components(g: Graph) -> List[Graph]:
+    """Connected components of g as graphs, ordered by lowest vertex id."""
+    roots = component_roots(g.vertices, g.edges())
+    parts: Dict[int, Tuple[list, list]] = {}
+    for v, r in roots.items():  # ascending ids: each root is met first
+        parts.setdefault(r, ([], []))[0].append(v)
+    for e in g.edges():
+        parts[roots[e[0]]][1].append(e)
+    return [Graph(vs, es) for vs, es in parts.values()]
 
 
 # -- text formats ----------------------------------------------------------

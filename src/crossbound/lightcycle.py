@@ -13,15 +13,16 @@ cycles serves as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from .embedding import embed, is_planar
 from .errors import CrossboundError, InductionFallbackError, NotACycleError
-from .graph import Edge, Graph, contract_edges, delete_edge, delete_edges, min_degree, norm_edge
+from .graph import (Edge, Graph, components, contract_edges, delete_edge, delete_edges,
+                    min_degree, norm_edge)
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,6 @@ def brute_force_min_mu(g: Graph, max_len: int) -> CycleWitness:
     return best[1]
 
 
-def _components(g: Graph) -> List[Graph]:
-    comps = []
-    for nodes in sorted(nx.connected_components(g.to_networkx()), key=min):
-        nodes = set(nodes)
-        comps.append(
-            Graph(nodes, (e for e in g.edges() if e[0] in nodes))
-        )
-    return comps
-
-
 def light_cycle_planar(g: Graph) -> CycleWitness:
     """A cycle with mu <= 10 in a planar graph with minimum degree >= 3.
 
@@ -113,7 +104,7 @@ def light_cycle_planar(g: Graph) -> CycleWitness:
     """
     if min_degree(g) < 3:
         raise CrossboundError("light_cycle_planar needs minimum degree >= 3")
-    for comp in _components(g):
+    for comp in components(g):
         emb = embed(comp)
         for f in emb.faces:
             if f.weight - Fraction(f.length, 2) + 1 > 0:

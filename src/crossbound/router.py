@@ -19,12 +19,12 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .bounds import skewness_crossing_bound
 from .embedding import RotationEmbedding, dual, embed, is_planar, triangulate
 from .errors import CrossboundError, MissingEdgeError
-from .graph import Edge, Graph, norm_edge
+from .graph import Edge, Graph, component_roots, norm_edge
 from .skewness import SkewnessCertificate
 
 # provenance key for a working edge: ("base", edge) or ("route", edge)
@@ -44,22 +44,6 @@ class EdgeRoute:
     edge: Edge
     face_sequence: Tuple[int, ...]
     crossed: Tuple[Edge, ...]
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[max(ra, rb)] = min(ra, rb)
 
 
 def _cheapest_dual_path(
@@ -99,14 +83,12 @@ def _cheapest_dual_path(
     return tuple(faces), tuple(arcs)
 
 
-def insert_edge(
-    emb: RotationEmbedding, e: Edge, triangulate_first: bool = True
-) -> EdgeRoute:
+def insert_edge(emb: RotationEmbedding, e: Edge) -> EdgeRoute:
     """Route the missing edge e through emb, crossing as few real edges as
     the cheapest dual path allows.
 
-    With ``triangulate_first`` the search runs in a triangulated copy and
-    fill-edge hops are free; only real edges count as crossings.
+    The search runs in a triangulated copy where fill-edge hops are free;
+    only real edges count as crossings.
     """
     v1, v2 = e
     g = emb.graph
@@ -115,7 +97,7 @@ def insert_edge(
     if g.has_edge(v1, v2):
         raise CrossboundError(f"{e} is already an edge")
 
-    if triangulate_first and any(f.length > 3 for f in emb.faces):
+    if any(f.length > 3 for f in emb.faces):
         emb_r, fills = triangulate(emb)
     else:
         emb_r, fills = emb, frozenset()
@@ -129,18 +111,17 @@ def insert_edge(
     # triangulate refines emb, so every real directed edge of a fill group
     # names the same input face
     if fills:
-        uf = _UnionFind(len(emb_r.faces))
-        for f1, f2, pe in d.arcs:
-            if pe in fills:
-                uf.union(f1, f2)
+        group = component_roots(
+            range(len(emb_r.faces)), ((f1, f2) for f1, f2, pe in d.arcs if pe in fills)
+        )
         group_face: Dict[int, int] = {}
         for fid, face in enumerate(emb_r.faces):
             walk = face.boundary
             for a, b in zip(walk, walk[1:] + walk[:1]):
                 if norm_edge(a, b) not in fills:
-                    group_face.setdefault(uf.find(fid), emb.face_of(a, b))
+                    group_face.setdefault(group[fid], emb.face_of(a, b))
                     break
-        mapped = [group_face[uf.find(f)] for f in tri_faces]
+        mapped = [group_face[group[f]] for f in tri_faces]
         faces = [mapped[0]]
         crossed = []
         for nxt, arc in zip(mapped[1:], arcs):
@@ -157,27 +138,23 @@ def insert_edge(
     return EdgeRoute(norm_edge(v1, v2), face_sequence, crossed)
 
 
-def _split_and_chain(
-    edges: set, route: EdgeRoute, next_id: int
-) -> Tuple[set, List[int], int]:
-    """Apply a route to a working edge set: split each crossed edge at a
-    fresh dummy and thread the routed edge through the dummies."""
+def _split_and_chain(edges: set, route: EdgeRoute, next_id: int) -> List[int]:
+    """Apply a route to a working edge set in place: split each crossed
+    edge at a fresh dummy (ids from ``next_id`` up, in crossing order) and
+    thread the routed edge through the dummies. Returns the routed edge's
+    vertex chain."""
     v1, v2 = route.edge
     chain = [v1]
-    for ce in route.crossed:
-        a, b = ce
+    for dv, (a, b) in enumerate(route.crossed, start=next_id):
         if norm_edge(a, b) not in edges:
-            raise MissingEdgeError(f"route crosses non-edge {ce}")
-        dv = next_id
-        next_id += 1
+            raise MissingEdgeError(f"route crosses non-edge {(a, b)}")
         edges.remove(norm_edge(a, b))
         edges.add(norm_edge(a, dv))
         edges.add(norm_edge(dv, b))
         chain.append(dv)
     chain.append(v2)
-    for u, w in zip(chain, chain[1:]):
-        edges.add(norm_edge(u, w))
-    return edges, chain, next_id
+    edges.update(norm_edge(u, w) for u, w in zip(chain, chain[1:]))
+    return chain
 
 
 def planarize_route(emb: RotationEmbedding, route: EdgeRoute) -> RotationEmbedding:
@@ -185,10 +162,8 @@ def planarize_route(emb: RotationEmbedding, route: EdgeRoute) -> RotationEmbeddi
     crossing becomes a degree-4 dummy vertex splitting both edges."""
     g = emb.graph
     edges = set(g.edges())
-    next_id = (max(g.vertices) + 1) if g.n else 0
-    edges, chain, next_id = _split_and_chain(edges, route, next_id)
-    vertices = set(g.vertices) | set(chain)
-    return embed(Graph(vertices, edges))
+    chain = _split_and_chain(edges, route, (max(g.vertices) + 1) if g.n else 0)
+    return embed(Graph(set(g.vertices) | set(chain), edges))
 
 
 @dataclass(frozen=True)
@@ -245,20 +220,14 @@ def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
 
     working = base_graph
     for e0 in removed:
-        emb_w = embed(working)
-        route = insert_edge(emb_w, e0, triangulate_first=True)
+        route = insert_edge(embed(working), e0)
         routes.append(route)
         rkey: OriginKey = ("route", e0)
-        chain = [e0[0]]
+        chain = _split_and_chain(edges, route, next_id)
+        next_id += len(route.crossed)
         hit: List[Tuple[OriginKey, int]] = []
-        for ce in route.crossed:
-            okey = origin.pop(ce)
-            dv = next_id
-            next_id += 1
-            edges.remove(ce)
-            a, b = ce
-            edges.add(norm_edge(a, dv))
-            edges.add(norm_edge(dv, b))
+        for (a, b), dv in zip(route.crossed, chain[1:-1]):
+            okey = origin.pop((a, b))
             origin[norm_edge(a, dv)] = okey
             origin[norm_edge(dv, b)] = okey
             # record the dummy inside the crossed edge's chain, between a and b
@@ -270,11 +239,8 @@ def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
             else:
                 raise CrossboundError("crossed edge not found in its own chain")
             dummy_map[dv] = (rkey, okey)
-            chain.append(dv)
             hit.append((okey, dv))
-        chain.append(e0[1])
         for u, w in zip(chain, chain[1:]):
-            edges.add(norm_edge(u, w))
             origin[norm_edge(u, w)] = rkey
         chains[rkey] = chain
         raw_crossings.append(hit)

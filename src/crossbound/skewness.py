@@ -9,13 +9,13 @@ provides an upper-bound certificate for graphs beyond exact-search scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 import networkx as nx
 
-from .embedding import is_planar
+from .embedding import is_planar, planar_nx, witness_nx
 from .errors import CrossboundError
-from .graph import Edge, Graph, delete_edges, norm_edge
+from .graph import Edge, Graph, delete_edges
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,15 @@ class SkewnessCertificate:
         return len(self.removed) == self.value and is_planar(delete_edges(g, self.removed))
 
 
+def _verified(cert: SkewnessCertificate, g: Graph) -> SkewnessCertificate:
+    """cert itself, once an independent planarity test has confirmed it."""
+    if not cert.verify(g):
+        raise CrossboundError(
+            f"skewness certificate of value {cert.value} fails verification"
+        )
+    return cert
+
+
 def skewness_lower_bound(g: Graph) -> int:
     """Edge-count lower bound: |E| - (3|V| - 6), refined to |E| - (2|V| - 4)
     for bipartite graphs."""
@@ -44,25 +53,18 @@ def skewness_lower_bound(g: Graph) -> int:
     return max(0, lb)
 
 
-def _kuratowski_edges(gn: nx.Graph) -> Optional[List[Edge]]:
-    ok, cex = nx.check_planarity(gn, counterexample=True)
-    if ok:
-        return None
-    return sorted(norm_edge(u, v) for u, v in cex.edges())
-
-
 def _search(gn: nx.Graph, depth: int, banned: frozenset) -> Optional[List[Edge]]:
     """Removal set of size <= depth making gn planar, or None.
 
     Branches over the edges of one Kuratowski subdivision; ``banned``
     prevents revisiting permutations of the same set.
     """
-    witness = _kuratowski_edges(gn)
+    witness = witness_nx(gn)
     if witness is None:
         return []
     if depth == 0:
         return None
-    for e in witness:
+    for e in sorted(witness):
         if e in banned:
             continue
         gn.remove_edge(*e)
@@ -90,12 +92,8 @@ def skewness_exact(g: Graph, budget: Optional[int] = None) -> SkewnessCertificat
     for size in range(lb, budget + 1):
         found = _search(gn, size, frozenset())
         if found is not None:
-            cert = SkewnessCertificate(len(found), frozenset(found), exact=True)
-            assert cert.verify(g)
-            return cert
-    cert = planar_subgraph_heuristic(g)
-    assert cert.verify(g)
-    return cert
+            return _verified(SkewnessCertificate(len(found), frozenset(found), exact=True), g)
+    return planar_subgraph_heuristic(g)
 
 
 def planar_subgraph_heuristic(g: Graph) -> SkewnessCertificate:
@@ -104,19 +102,16 @@ def planar_subgraph_heuristic(g: Graph) -> SkewnessCertificate:
     gn = g.to_networkx()
     keep = nx.Graph()
     keep.add_nodes_from(g.vertices)
-    forest = []
-    for comp_edges in (nx.dfs_edges(gn, source=min(c)) for c in
-                       sorted(nx.connected_components(gn), key=min)):
-        forest.extend(norm_edge(u, v) for u, v in comp_edges)
-    keep.add_edges_from(forest)
+    # a DFS from each not yet visited vertex, ascending: a spanning forest
+    keep.add_edges_from(nx.dfs_edges(gn))
     removed = []
     for e in sorted(g.edges()):
         if keep.has_edge(*e):
             continue
         keep.add_edge(*e)
-        if not nx.check_planarity(keep, counterexample=False)[0]:
+        if not planar_nx(keep):
             keep.remove_edge(*e)
             removed.append(e)
-    cert = SkewnessCertificate(len(removed), frozenset(removed), exact=(len(removed) == 0))
-    assert cert.verify(g)
-    return cert
+    return _verified(
+        SkewnessCertificate(len(removed), frozenset(removed), exact=(len(removed) == 0)), g
+    )

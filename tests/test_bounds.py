@@ -120,6 +120,8 @@ def test_criticality_examples(k5, k6, k33, c4):
     assert is_k_crossing_critical(k6, 3)
     assert not is_k_crossing_critical(k6, 2)  # cr(K6) = 3, not <= 2 after no-op
     assert not is_k_crossing_critical(c4, 1)  # planar
+    # K3,5 - e is non-planar, so no cr(G - e) beyond k - 1 = 0 is needed
+    assert not is_k_crossing_critical(complete_bipartite(3, 5), 1, max_k=1)
     with pytest.raises(CrossboundError):
         is_k_crossing_critical(k5, 0)
 

@@ -29,8 +29,9 @@ def test_generate_edgelist_and_file_roundtrip(runner, tmp_path):
     assert res2.output.strip() == "1"
 
 
-def test_generate_rejects_unknown_family(runner):
-    res = runner.invoke(main, ["generate", "moebius:5"])
+@pytest.mark.parametrize("spec", ["moebius:5", "complete:x", "planar-plus:6:-1"])
+def test_generate_rejects_unknown_family(runner, spec):
+    res = runner.invoke(main, ["generate", spec])
     assert res.exit_code == 1
     assert "error" in json.loads(res.stderr)
 

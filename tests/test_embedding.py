@@ -8,7 +8,6 @@ from crossbound.embedding import (
     RotationEmbedding,
     dual,
     embed,
-    faces_and_weights,
     is_planar,
     kuratowski_witness,
     triangulate,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import networkx as nx
@@ -7,7 +8,13 @@ from crossbound.embedding import is_planar
 from crossbound.errors import BudgetExceededError
 from crossbound.generators import complete, complete_bipartite, named, planar_plus
 from crossbound.graph import Graph, delete_edge
-from crossbound.oracle import cr_at_most, crossing_number, planarize_config
+from crossbound.oracle import (
+    _independent_pairs,
+    _order_choices,
+    cr_at_most,
+    crossing_number,
+    planarize_config,
+)
 
 
 def test_ground_truths(k4, k5, k6, k33, petersen):
@@ -111,3 +118,54 @@ def test_skewness_never_below_crossing_gap():
         except BudgetExceededError:
             continue
         assert skewness_exact(g).value <= cr
+
+
+def test_reversed_crossing_order_is_a_different_drawing(k6):
+    # chains run from the low endpoint, so reversing an order can matter
+    pairs = [((2, 5), (3, 4)), ((0, 4), (1, 5)), ((1, 3), (2, 5)), ((1, 3), (2, 4))]
+    on_13 = ((2, 4), (2, 5))
+    for order, planar in ((((1, 3), (3, 4)), True), (((3, 4), (1, 3)), False)):
+        h = planarize_config(k6, pairs, {(2, 5): order, (1, 3): on_13})
+        assert is_planar(h) == planar
+
+
+def _some_order_planarizes(g, combo, multi, order_sets):
+    return any(
+        is_planar(planarize_config(g, combo, dict(zip(multi, chosen))))
+        for chosen in itertools.product(*order_sets)
+    )
+
+
+@pytest.mark.parametrize(
+    "g, level, stride",
+    [
+        (complete(5), 2, 1),
+        (complete_bipartite(3, 4), 2, 1),
+        (named("petersen"), 2, 1),
+        (complete(6), 3, 8),  # every 8th multi-crossing configuration
+    ],
+    ids=["K5", "K3,4", "petersen", "K6-slice"],
+)
+def test_order_pruning_matches_all_orders(g, level, stride):
+    # _order_choices keeps one of each order and its reversal. At these
+    # levels (up to each graph's cr) the kept orders must planarize a
+    # configuration whenever any order does; at K5 level 3 they do not
+    multi_seen = 0
+    for combo in itertools.combinations(_independent_pairs(g), level):
+        crossings = {}
+        for e, f in combo:
+            crossings.setdefault(e, []).append(f)
+            crossings.setdefault(f, []).append(e)
+        multi = sorted(e for e, ps in crossings.items() if len(ps) > 1)
+        if not multi:
+            continue
+        multi_seen += 1
+        if multi_seen % stride:
+            continue
+        kept = [_order_choices(crossings[e]) for e in multi]
+        full = [list(itertools.permutations(crossings[e])) for e in multi]
+        assert _some_order_planarizes(g, combo, multi, kept) == _some_order_planarizes(
+            g, combo, multi, full
+        ), combo
+    assert multi_seen > 0
+

@@ -9,6 +9,7 @@ from crossbound.errors import CrossboundError
 from crossbound.generators import complete, complete_bipartite, planar_plus
 from crossbound.graph import Graph, delete_edges
 from crossbound.skewness import (
+    SkewnessCertificate,
     planar_subgraph_heuristic,
     skewness_exact,
     skewness_lower_bound,
@@ -107,3 +108,12 @@ def test_heuristic_zero_on_planar(k4, c4):
     for g in (k4, c4):
         cert = planar_subgraph_heuristic(g)
         assert cert.value == 0 and cert.exact
+
+
+def test_failed_verification_raises(monkeypatch, k5):
+    # an explicit check, not an assert that python -O would strip
+    monkeypatch.setattr(SkewnessCertificate, "verify", lambda self, g: False)
+    with pytest.raises(CrossboundError):
+        skewness_exact(k5)
+    with pytest.raises(CrossboundError):
+        planar_subgraph_heuristic(k5)
