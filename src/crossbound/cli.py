@@ -214,7 +214,7 @@ def oracle(input_spec, fmt, seed, out, pretty, max_k, max_edges):
         else:
             click.echo(str(cr))
     except BudgetExceededError as exc:
-        _fail(f"{exc} ({exc.established})", 3)
+        _fail(f"{exc} ({exc.established})" if exc.established else str(exc), 3)
     except CrossboundError as exc:
         _fail(str(exc), 1)
 

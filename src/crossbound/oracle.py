@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import networkx as nx
+
 from .embedding import planar_nx
 from .errors import BudgetExceededError
 from .graph import Edge, Graph, components
@@ -48,32 +50,30 @@ def _independent_pairs(g: Graph) -> List[Pair]:
     return pairs
 
 
-def planarize_config(g: Graph, pairs, orders: Dict[Edge, Tuple[Edge, ...]]) -> Graph:
-    """The planarization graph of a crossing configuration.
+def planarize_config(g: Graph, pairs, orders: Dict[Edge, Tuple[Edge, ...]]) -> nx.Graph:
+    """The planarization graph of a crossing configuration, as a networkx
+    graph ready for the planarity test.
 
     Each edge becomes a chain through its crossing dummies (in the given
     order, oriented from the low endpoint); each crossing pair shares one
     dummy. Dummy ids start above the host graph's ids.
     """
     next_id = (max(g.vertices) + 1) if g.n else 0
-    dummy: Dict[Pair, int] = {}
-    for p in sorted(pairs):
-        dummy[p] = next_id
-        next_id += 1
+    dummy = {p: i for i, p in enumerate(sorted(pairs), start=next_id)}
     crossings: Dict[Edge, List[Edge]] = {}
     for e, f in pairs:
         crossings.setdefault(e, []).append(f)
         crossings.setdefault(f, []).append(e)
-    edges = []
+    gn = nx.Graph()
+    gn.add_nodes_from(g.vertices)
     for e in g.edges():
         partners = crossings.get(e)
         if not partners:
-            edges.append(e)
+            gn.add_edge(*e)
             continue
         seq = orders.get(e, tuple(sorted(partners)))
-        chain = [e[0]] + [dummy[tuple(sorted((e, f)))] for f in seq] + [e[1]]
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(g.vertices, edges)
+        nx.add_path(gn, [e[0]] + [dummy[tuple(sorted((e, f)))] for f in seq] + [e[1]])
+    return gn
 
 
 def _order_choices(partners: List[Edge]):
@@ -110,8 +110,7 @@ def _level_witness(g: Graph, pool: List[Pair], k: int) -> Optional[CrossingConfi
         order_sets = [_order_choices(crossings[e]) for e in multi]
         for chosen in itertools.product(*order_sets):
             orders = dict(zip(multi, chosen))
-            planarized = planarize_config(g, combo, orders)
-            if planar_nx(planarized.to_networkx()):
+            if planar_nx(planarize_config(g, combo, orders)):
                 return CrossingConfig(
                     frozenset(combo),
                     tuple(sorted(orders.items())),

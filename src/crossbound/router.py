@@ -3,9 +3,9 @@
 A missing edge is routed through the dual of a planar embedding: the
 cheapest dual path from the faces around one endpoint to the faces around
 the other gives a curve crossing exactly the primal edges of the path's
-arcs. Routing happens in a triangulated copy by default (fill edges cost
-nothing to cross, real edges cost one), which keeps the crossing count of
-a single insertion at or below floor((2n - 7) / 3).
+arcs. Every arc costs one, so a route crosses as few edges as the fixed
+embedding allows. That is at most floor((2n - 7) / 3): triangulating the
+embedding only adds edges, and its cheapest dual path is never shorter.
 
 build_drawing iterates this over a whole removal set, replacing each
 crossing by a degree-4 dummy vertex so later routes see earlier ones as
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from .bounds import skewness_crossing_bound
 from .embedding import RotationEmbedding, dual, embed, is_planar, triangulate
 from .errors import CrossboundError, MissingEdgeError
-from .graph import Edge, Graph, component_roots, norm_edge
+from .graph import Edge, Graph, norm_edge
 from .skewness import SkewnessCertificate
 
 # provenance key for a working edge: ("base", edge) or ("route", edge)
@@ -35,9 +35,8 @@ OriginKey = Tuple[str, Edge]
 class EdgeRoute:
     """A routed edge: the faces traversed and the real edges crossed.
 
-    ``face_sequence`` refers to the embedding the route was computed in
-    (fill-face groups are collapsed back to real faces), and
-    ``crossed[i]`` separates ``face_sequence[i]`` from
+    ``face_sequence`` refers to the embedding the route was computed in,
+    and ``crossed[i]`` separates ``face_sequence[i]`` from
     ``face_sequence[i+1]``.
     """
 
@@ -47,10 +46,10 @@ class EdgeRoute:
 
 
 def _cheapest_dual_path(
-    dual_graph, sources, sinks, fills
+    dual_graph, sources, sinks
 ) -> Tuple[Tuple[int, ...], Tuple[Edge, ...]]:
-    """Min-cost dual path (fill arcs free, real arcs cost 1) from any
-    source face to any sink face; deterministic via heap order."""
+    """Fewest-arc dual path from any source face to any sink face;
+    deterministic via heap order."""
     nbrs = dual_graph.neighbors()
     INF = float("inf")
     dist = {f: INF for f in range(dual_graph.num_nodes)}
@@ -65,11 +64,10 @@ def _cheapest_dual_path(
         if d > dist[f]:
             continue
         for g2, e in nbrs[f]:
-            c = 0 if e in fills else 1
-            if d + c < dist[g2]:
-                dist[g2] = d + c
+            if d + 1 < dist[g2]:
+                dist[g2] = d + 1
                 parent[g2] = (f, e)
-                heapq.heappush(heap, (d + c, g2))
+                heapq.heappush(heap, (d + 1, g2))
     start = min(sorted(sources), key=lambda f: (dist[f], f))
     if dist[start] == INF:
         raise CrossboundError("dual graph is disconnected between the endpoints")
@@ -84,58 +82,20 @@ def _cheapest_dual_path(
 
 
 def insert_edge(emb: RotationEmbedding, e: Edge) -> EdgeRoute:
-    """Route the missing edge e through emb, crossing as few real edges as
-    the cheapest dual path allows.
-
-    The search runs in a triangulated copy where fill-edge hops are free;
-    only real edges count as crossings.
-    """
+    """Route the missing edge e through emb along a cheapest path in its
+    dual, crossing as few edges as the fixed embedding allows."""
     v1, v2 = e
     g = emb.graph
+    if v1 == v2:
+        raise CrossboundError(f"{e} is a self-loop")
     if not (g.has_vertex(v1) and g.has_vertex(v2)):
         raise MissingEdgeError(f"endpoint of {e} missing from the graph")
     if g.has_edge(v1, v2):
         raise CrossboundError(f"{e} is already an edge")
-
-    if any(f.length > 3 for f in emb.faces):
-        emb_r, fills = triangulate(emb)
-    else:
-        emb_r, fills = emb, frozenset()
-
-    d = dual(emb_r)
-    sources = emb_r.faces_incident_to(v1)
-    sinks = emb_r.faces_incident_to(v2)
-    tri_faces, arcs = _cheapest_dual_path(d, sources, sinks, fills)
-
-    # collapse fill-separated faces back to faces of the real embedding;
-    # triangulate refines emb, so every real directed edge of a fill group
-    # names the same input face
-    if fills:
-        group = component_roots(
-            range(len(emb_r.faces)), ((f1, f2) for f1, f2, pe in d.arcs if pe in fills)
-        )
-        group_face: Dict[int, int] = {}
-        for fid, face in enumerate(emb_r.faces):
-            walk = face.boundary
-            for a, b in zip(walk, walk[1:] + walk[:1]):
-                if norm_edge(a, b) not in fills:
-                    group_face.setdefault(group[fid], emb.face_of(a, b))
-                    break
-        mapped = [group_face[group[f]] for f in tri_faces]
-        faces = [mapped[0]]
-        crossed = []
-        for nxt, arc in zip(mapped[1:], arcs):
-            if arc in fills:
-                continue
-            faces.append(nxt)
-            crossed.append(arc)
-        face_sequence, crossed = tuple(faces), tuple(crossed)
-    else:
-        face_sequence, crossed = tri_faces, arcs
-
-    if len(crossed) != len(face_sequence) - 1:
-        raise CrossboundError("route bookkeeping lost a face or a crossing")
-    return EdgeRoute(norm_edge(v1, v2), face_sequence, crossed)
+    faces, crossed = _cheapest_dual_path(
+        dual(emb), emb.faces_incident_to(v1), emb.faces_incident_to(v2)
+    )
+    return EdgeRoute(norm_edge(v1, v2), faces, crossed)
 
 
 def _split_and_chain(edges: set, route: EdgeRoute, next_id: int) -> List[int]:

@@ -51,6 +51,11 @@ def test_oracle_budget_exit_code(runner):
     res = runner.invoke(main, ["oracle", "complete:8"])
     assert res.exit_code == 3
     assert "error" in json.loads(res.stderr)
+    # the edge budget establishes nothing, so no fact is appended
+    assert "None" not in json.loads(res.stderr)["error"]
+    res = runner.invoke(main, ["oracle", "complete:6", "--max-k", "2"])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"].endswith("(cr > 2)")
 
 
 def test_analyze_k6(runner):

@@ -1,0 +1,36 @@
+"""Byte-identity of cheap CLI invocations: exit code and sha256 of stdout.
+
+The hashes pin the exact output of the commands below, so a refactor that
+should change nothing observable is checked to change nothing. Update a
+hash only together with a documented behaviour change.
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from crossbound.cli import main
+
+GOLDEN = [
+    ("oracle complete:5", 0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("oracle bipartite:3:3", 0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("oracle petersen --pretty", 0, "692cd67a2af5b0c633f0492c2f9db59ce38b67d6b73a93cc41b3d5fa7c234521"),
+    ("oracle cube", 0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("critical complete:5 --k 1", 0, "28b780ab8aeda99d6493959104708a7c46752b3c6f0f1b591b452fb69a6987f1"),
+    ("critical bipartite:3:3 --k 1", 0, "3ec366b5bdddd3806260a217577082f3b6ba912a53dd40aa2a8fb15cf80cc0a0"),
+    ("analyze petersen", 0, "e34aec1528bf83e0439f6a264af20cd52b9508046dc3164ea582f885445ffa76"),
+    ("analyze planar-plus:10:1 --seed 4", 0, "53b97fe26a2cacccf83964d00a7a5c774ccd9bfd3f1af3d0f2790a6876e7b4c3"),
+    ("draw complete:6", 0, "4d80a63c6390885992051782185daef4ae64619cf07a1acb789196569a745c76"),
+    # petersen and K3,4 route through faces longer than triangles
+    ("draw petersen", 0, "c33587c9332b7684a93b2cc3d9e040547abf5d2606e97f7d78af59cc1419945d"),
+    ("draw bipartite:3:4", 0, "8252831b98cbb3411aea1c36e5c1b13847c584c45e4b9417337b734c5ece2aea"),
+    ("draw maximal-planar:50 --seed 1", 0, "82d46b3d69e27b265769711e603923dcec0ea4291019bcb3dfdad2a49f4d3d5f"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_cli_output_is_pinned(command, exit_code, digest):
+    res = CliRunner().invoke(main, command.split())
+    assert res.exit_code == exit_code
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

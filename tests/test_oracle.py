@@ -4,7 +4,7 @@ import random
 import networkx as nx
 import pytest
 
-from crossbound.embedding import is_planar
+from crossbound.embedding import planar_nx
 from crossbound.errors import BudgetExceededError
 from crossbound.generators import complete, complete_bipartite, named, planar_plus
 from crossbound.graph import Graph, delete_edge
@@ -58,10 +58,10 @@ def test_witness_is_sound(k6, petersen):
         ok, wit = cr_at_most(g, expect)
         assert ok and wit.k == expect
         planarized = planarize_config(g, sorted(wit.pairs), dict(wit.orders))
-        assert is_planar(planarized)
+        assert planar_nx(planarized)
         # a crossing adds one vertex and splits two edges into four
-        assert planarized.n == g.n + expect
-        assert planarized.m == g.m + 2 * expect
+        assert planarized.number_of_nodes() == g.n + expect
+        assert planarized.number_of_edges() == g.m + 2 * expect
 
 
 def test_witness_pairs_are_independent(k5):
@@ -74,7 +74,7 @@ def test_witness_pairs_are_independent(k5):
 def test_planarize_config_chains_share_dummies(k5):
     pairs = [(((0, 1)), ((2, 3)))]
     h = planarize_config(k5, pairs, {})
-    assert h.n == 6 and h.m == 12
+    assert h.number_of_nodes() == 6 and h.number_of_edges() == 12
     d = 5  # the single dummy id
     assert h.degree(d) == 4
     assert not h.has_edge(0, 1) and not h.has_edge(2, 3)
@@ -126,12 +126,12 @@ def test_reversed_crossing_order_is_a_different_drawing(k6):
     on_13 = ((2, 4), (2, 5))
     for order, planar in ((((1, 3), (3, 4)), True), (((3, 4), (1, 3)), False)):
         h = planarize_config(k6, pairs, {(2, 5): order, (1, 3): on_13})
-        assert is_planar(h) == planar
+        assert planar_nx(h) == planar
 
 
 def _some_order_planarizes(g, combo, multi, order_sets):
     return any(
-        is_planar(planarize_config(g, combo, dict(zip(multi, chosen))))
+        planar_nx(planarize_config(g, combo, dict(zip(multi, chosen))))
         for chosen in itertools.product(*order_sets)
     )
 

@@ -2,11 +2,16 @@ import json
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from crossbound.embedding import embed, is_planar
 from crossbound.errors import CrossboundError, MissingEdgeError
-from crossbound.generators import planar_plus, random_maximal_planar
+from crossbound.generators import (
+    planar_plus,
+    random_maximal_planar,
+    random_planar_min_degree3,
+)
 from crossbound.graph import Graph, delete_edge
 from crossbound.oracle import crossing_number
 from crossbound.router import (
@@ -62,13 +67,31 @@ def test_insert_rejects_existing_edge_and_missing_vertex(k4):
         insert_edge(embed(k4), (0, 1))
     with pytest.raises(MissingEdgeError):
         insert_edge(embed(k4), (0, 9))
+    with pytest.raises(CrossboundError):
+        insert_edge(embed(k4), (1, 1))
+
+
+def _fewest_crossings(emb, v1, v2):
+    """Crossings of a shortest route from v1 to v2, computed apart from the
+    router: faces as nodes, one arc per primal edge, a super source joined
+    to v1's faces and a super sink joined to v2's faces."""
+    g = emb.graph
+    d = nx.Graph()
+    d.add_edges_from((emb.face_of(u, v), emb.face_of(v, u)) for u, v in g.edges())
+    d.add_edges_from(("s", emb.face_of(v1, w)) for w in g.neighbors(v1))
+    d.add_edges_from(("t", emb.face_of(v2, w)) for w in g.neighbors(v2))
+    return nx.shortest_path_length(d, "s", "t") - 2
 
 
 def test_insert_respects_edge_bound():
     rng = random.Random(61)
-    for _ in range(100):
+    sparse = 0
+    for i in range(200):
         n = rng.randint(5, 30)
-        g = random_maximal_planar(n, rng)
+        if i < 100:
+            g = random_maximal_planar(n, rng)
+        else:  # sparse inputs, with faces longer than triangles
+            g = random_planar_min_degree3(n, rng, deletions=rng.randint(1, 12))
         non_edges = [
             (u, v)
             for i, u in enumerate(g.vertices)
@@ -79,9 +102,12 @@ def test_insert_respects_edge_bound():
             continue
         e = non_edges[rng.randrange(len(non_edges))]
         emb = embed(g)
+        sparse += any(f.length > 3 for f in emb.faces)
         route = insert_edge(emb, e)
         _route_is_consistent(emb, route)
+        assert len(route.crossed) == _fewest_crossings(emb, *e)
         assert len(route.crossed) <= (2 * n - 7) // 3
+    assert sparse >= 50
 
 
 def test_planarize_route_is_planar_with_euler_counts(k5):
