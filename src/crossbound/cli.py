@@ -38,6 +38,20 @@ from .skewness import skewness_exact
 from . import generators
 
 
+# Largest vertex or edge count a family spec may ask for; maximal-planar:400
+# (1194 edges) is the largest spec in use.
+MAX_SPEC_SIZE = 2000
+
+# (vertices, edges) implied by each sized family spec, computed before
+# anything is generated
+_SPEC_SIZE = {
+    ("complete", 1): lambda n: (n, n * (n - 1) // 2),
+    ("bipartite", 2): lambda a, b: (a + b, a * b),
+    ("maximal-planar", 1): lambda n: (n, 3 * n - 6),
+    ("planar-plus", 2): lambda n, t: (n, 3 * n - 6 + t),
+}
+
+
 def _resolve_graph(spec: str, fmt: str, seed: int) -> Graph:
     if os.path.exists(spec):
         return parse_graph(Path(spec).read_bytes(), fmt)
@@ -46,6 +60,12 @@ def _resolve_graph(spec: str, fmt: str, seed: int) -> Graph:
         args = [int(x) for x in fields]
     except ValueError:
         raise CrossboundError(f"{spec!r}: sizes in a family spec must be integers") from None
+    size = _SPEC_SIZE.get((family, len(args)))
+    n, m = size(*args) if size else (0, 0)
+    if max(n, m) > MAX_SPEC_SIZE:
+        raise CrossboundError(
+            f"{spec!r} implies {n} vertices and {m} edges; the limit is {MAX_SPEC_SIZE}"
+        )
     rng = random.Random(seed)
     if family == "complete" and len(args) == 1:
         return generators.complete(*args)

@@ -20,7 +20,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from .embedding import embed, is_planar
-from .errors import CrossboundError, InductionFallbackError, NotACycleError
+from .errors import (BudgetExceededError, CrossboundError, InductionFallbackError,
+                     NotACycleError)
 from .graph import (Edge, Graph, components, contract_edges, delete_edge, delete_edges,
                     min_degree, norm_edge)
 
@@ -76,14 +77,27 @@ def _canonical_cycle(cycle: Sequence[int]) -> Tuple[int, ...]:
     return best
 
 
+# Cycles brute_force_min_mu enumerates before it gives up. Its largest use in
+# the tests, the icosahedron at length <= 11, enumerates 11,598.
+MAX_ORACLE_CYCLES = 100_000
+
+
 def brute_force_min_mu(g: Graph, max_len: int) -> CycleWitness:
     """Global minimum mu over all simple cycles of length <= max_len.
 
     Exhaustive; the test oracle every constructive witness is checked
-    against.
+    against. Enumerating more than MAX_ORACLE_CYCLES cycles raises
+    BudgetExceededError, whose ``established`` is the best witness found
+    so far: its mu bounds the minimum from above.
     """
     best = None
-    for raw in nx.simple_cycles(g.to_networkx(), length_bound=max_len):
+    cycles = nx.simple_cycles(g.to_networkx(), length_bound=max_len)
+    for count, raw in enumerate(cycles, 1):
+        if count > MAX_ORACLE_CYCLES:
+            raise BudgetExceededError(
+                f"more than {MAX_ORACLE_CYCLES} cycles of length <= {max_len}",
+                established=best[1] if best else None,
+            )
         cyc = _canonical_cycle(raw)
         m, apex = mu(g, cyc)
         key = (m, cyc)
@@ -265,7 +279,8 @@ def light_cycle_general(
     Runs the delete/contract/lift induction. When an induction step leaves
     the hypotheses (contraction merged parallel edges and dropped a degree
     below 3, or the constructed witness misses its guarantee), the result
-    is recomputed by the brute-force oracle and tagged ``fallback``.
+    is recomputed by the brute-force oracle and tagged ``fallback``; the
+    oracle's cycle budget can then raise BudgetExceededError.
     """
     e0 = sorted({norm_edge(u, v) for u, v in e0})
     t = len(e0)

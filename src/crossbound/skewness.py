@@ -2,8 +2,10 @@
 
 Exact values come from a branch-and-bound over removal sets: every removal
 set must hit every Kuratowski subdivision, so branching on the edges of one
-witness subdivision per node is exhaustive. A greedy planar-subgraph pass
-provides an upper-bound certificate for graphs beyond exact-search scale.
+witness subdivision per node is exhaustive. Only nodes that branch build a
+witness; the leaves of the search (depth 0) need a yes/no planarity test
+alone. A greedy planar-subgraph pass provides an upper-bound certificate for
+graphs beyond exact-search scale.
 """
 
 from __future__ import annotations
@@ -58,12 +60,19 @@ def _search(gn: nx.Graph, depth: int, banned: frozenset) -> Optional[List[Edge]]
 
     Branches over the edges of one Kuratowski subdivision; ``banned``
     prevents revisiting permutations of the same set.
+
+    A node at depth 0 never branches, so a witness there could only be
+    compared with None: the answer is ``[]`` when gn is planar and ``None``
+    otherwise, whichever subdivision a witness would name. Such a node
+    therefore takes the yes/no test, a single LR planarity test, whereas
+    extracting a witness re-tests the graph about once per edge. Only
+    nodes at depth >= 1 extract a witness, and they branch on its edges.
     """
+    if depth == 0:
+        return [] if planar_nx(gn) else None
     witness = witness_nx(gn)
     if witness is None:
         return []
-    if depth == 0:
-        return None
     for e in sorted(witness):
         if e in banned:
             continue

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from crossbound import generators
 from crossbound.cli import main
 from crossbound.graph import parse_graph
 
@@ -34,6 +35,29 @@ def test_generate_rejects_unknown_family(runner, spec):
     res = runner.invoke(main, ["generate", spec])
     assert res.exit_code == 1
     assert "error" in json.loads(res.stderr)
+
+
+@pytest.mark.parametrize("spec", ["complete:1000000", "complete:64", "bipartite:1000:1000",
+                                  "maximal-planar:1000000", "planar-plus:1000000:1"])
+def test_oversized_family_spec_rejected_before_generation(runner, monkeypatch, spec):
+    # the size check allocates nothing: every generator raises if reached
+    def never(*args):
+        raise AssertionError(f"generator called for {spec}")
+
+    for name in ("complete", "complete_bipartite", "random_maximal_planar", "planar_plus"):
+        monkeypatch.setattr(generators, name, never)
+    res = runner.invoke(main, ["generate", spec])
+    assert res.exit_code == 1
+    assert "limit" in json.loads(res.stderr)["error"]
+
+
+def test_largest_family_specs_in_use_pass_the_size_check(runner):
+    # K63 has 1953 edges, under the limit; K64 (2016 edges) is rejected above
+    res = runner.invoke(main, ["generate", "complete:63"])
+    assert res.exit_code == 0
+    res = runner.invoke(main, ["generate", "maximal-planar:400", "--seed", "1"])
+    assert res.exit_code == 0
+    assert parse_graph(res.output.encode(), "graph6").m == 3 * 400 - 6
 
 
 def test_oracle_plain_and_json(runner):

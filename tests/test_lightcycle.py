@@ -3,7 +3,8 @@ import random
 import networkx as nx
 import pytest
 
-from crossbound.errors import CrossboundError, NotACycleError
+from crossbound import lightcycle
+from crossbound.errors import BudgetExceededError, CrossboundError, NotACycleError
 from crossbound.generators import (
     named,
     planar_plus,
@@ -50,6 +51,19 @@ def test_mu_rejects_non_cycles(k4):
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(NotACycleError):
         mu(g, (0, 1, 2, 3))  # (3, 0) is not an edge
+
+
+def test_brute_force_cycle_budget(monkeypatch, k5):
+    # K5 has 37 cycles; with a budget of 5 the oracle stops after five and
+    # reports the best of those, an upper bound on the true minimum 4
+    monkeypatch.setattr(lightcycle, "MAX_ORACLE_CYCLES", 5)
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_min_mu(k5, 11)
+    best = info.value.established
+    assert mu(k5, best.cycle) == (best.mu, best.apex)
+    assert best.mu >= 4
+    monkeypatch.setattr(lightcycle, "MAX_ORACLE_CYCLES", 37)
+    assert brute_force_min_mu(k5, 11).mu == 4
 
 
 def test_brute_force_examples(k4, k5, petersen):

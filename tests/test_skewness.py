@@ -4,9 +4,11 @@ import random
 import networkx as nx
 import pytest
 
+from crossbound import skewness
 from crossbound.embedding import is_planar
 from crossbound.errors import CrossboundError
-from crossbound.generators import complete, complete_bipartite, planar_plus
+from crossbound.generators import (complete, complete_bipartite, planar_plus,
+                                   random_maximal_planar)
 from crossbound.graph import Graph, delete_edges
 from crossbound.skewness import (
     SkewnessCertificate,
@@ -117,3 +119,23 @@ def test_failed_verification_raises(monkeypatch, k5):
         skewness_exact(k5)
     with pytest.raises(CrossboundError):
         planar_subgraph_heuristic(k5)
+
+
+def test_only_branching_nodes_build_witnesses(monkeypatch):
+    # depth-0 nodes never branch, so they take the yes/no test: a graph of
+    # skewness 1 = lower bound needs the root's witness only, a planar one none
+    calls = []
+    witness_nx = skewness.witness_nx
+
+    def counting_witness(gn):
+        calls.append(gn.number_of_edges())
+        return witness_nx(gn)
+
+    monkeypatch.setattr(skewness, "witness_nx", counting_witness)
+    g, _ = planar_plus(10, 1, random.Random(7))
+    assert skewness_lower_bound(g) == 1
+    assert skewness_exact(g).value == 1
+    assert len(calls) == 1
+    calls.clear()
+    assert skewness_exact(random_maximal_planar(10, random.Random(7))).value == 0
+    assert calls == []

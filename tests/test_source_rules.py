@@ -13,3 +13,13 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_check_planarity_only_in_embedding():
+    # one planarity layer: everything else goes through planar_nx / witness_nx
+    found = [
+        path.name
+        for path in SOURCES
+        if path.name != "embedding.py" and "check_planarity" in path.read_text()
+    ]
+    assert "embedding.py" in {path.name for path in SOURCES} and not found, found
