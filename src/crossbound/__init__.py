@@ -55,7 +55,6 @@ from .router import (
     PlanarizationDrawing,
     build_drawing,
     insert_edge,
-    planarize_route,
     render,
     strip_routes,
 )

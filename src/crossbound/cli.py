@@ -54,7 +54,10 @@ _SPEC_SIZE = {
 
 def _resolve_graph(spec: str, fmt: str, seed: int) -> Graph:
     if os.path.exists(spec):
-        return parse_graph(Path(spec).read_bytes(), fmt)
+        try:
+            return parse_graph(Path(spec).read_bytes(), fmt)
+        except OSError as exc:
+            raise CrossboundError(f"{spec!r}: cannot read: {exc.strerror}") from None
     family, *fields = spec.split(":")
     try:
         args = [int(x) for x in fields]
@@ -121,7 +124,20 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error path of every command: a budget error exits 3 with
+    the fact it established, any other package error exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BudgetExceededError as exc:
+            _fail(f"{exc} ({exc.established})" if exc.established else str(exc), 3)
+        except CrossboundError as exc:
+            _fail(str(exc), 1)
+
+
+@click.group(cls=_Main)
 def main():
     """Crossing-number and skewness toolkit."""
 
@@ -146,43 +162,38 @@ _pretty_opt = click.option("--pretty", is_flag=True, help="Indented JSON.")
               help="Largest removal-set size tried (default: lower bound + 4).")
 def analyze(input_spec, fmt, seed, out, pretty, max_k, sk_budget):
     """Full report: skewness certificate, light-cycle witness, bounds, cr."""
-    try:
-        g = _resolve_graph(input_spec, fmt, seed)
-        cert = skewness_exact(g, budget=sk_budget)
-        report = {
-            "meta": _meta(input_spec, g, seed, max_k=max_k, sk_budget=sk_budget),
-            "n": g.n,
-            "m": g.m,
-            "min_degree": min_degree(g) if g.n else None,
-            "skewness": {
-                "value": cert.value,
-                "removed": [list(e) for e in sorted(cert.removed)],
-                "exact": cert.exact,
-            },
+    g = _resolve_graph(input_spec, fmt, seed)
+    cert = skewness_exact(g, budget=sk_budget)
+    report = {
+        "meta": _meta(input_spec, g, seed, max_k=max_k, sk_budget=sk_budget),
+        "n": g.n,
+        "m": g.m,
+        "min_degree": min_degree(g) if g.n else None,
+        "skewness": {
+            "value": cert.value,
+            "removed": [list(e) for e in sorted(cert.removed)],
+            "exact": cert.exact,
+        },
+    }
+    if g.n and min_degree(g) >= 3:
+        wit = light_cycle_general(g, cert.removed)
+        report["light_cycle"] = {
+            "cycle": list(wit.cycle),
+            "apex": wit.apex,
+            "mu": wit.mu,
+            "fallback": wit.fallback,
         }
-        if g.n and min_degree(g) >= 3:
-            wit = light_cycle_general(g, cert.removed)
-            report["light_cycle"] = {
-                "cycle": list(wit.cycle),
-                "apex": wit.apex,
-                "mu": wit.mu,
-                "fallback": wit.fallback,
-            }
-        else:
-            report["light_cycle"] = None
-        report["skewness_bound"] = _rat(skewness_crossing_bound(g.n, cert.value))
-        try:
-            cr = crossing_number(g, max_k=max_k)
-            report["cr"] = cr
-            report["cr_status"] = "exact"
-        except BudgetExceededError as exc:
-            report["cr"] = None
-            report["cr_status"] = str(exc.established or "budget exceeded")
-        _emit(report, out, pretty)
+    else:
+        report["light_cycle"] = None
+    report["skewness_bound"] = _rat(skewness_crossing_bound(g.n, cert.value))
+    try:
+        cr = crossing_number(g, max_k=max_k)
+        report["cr"] = cr
+        report["cr_status"] = "exact"
     except BudgetExceededError as exc:
-        _fail(str(exc), 3)
-    except CrossboundError as exc:
-        _fail(str(exc), 1)
+        report["cr"] = None
+        report["cr_status"] = str(exc.established or "budget exceeded")
+    _emit(report, out, pretty)
 
 
 @main.command()
@@ -196,23 +207,18 @@ def analyze(input_spec, fmt, seed, out, pretty, max_k, sk_budget):
 @click.option("--sk-budget", type=int, default=None)
 def draw(input_spec, fmt, seed, out, pretty, svg_path, sk_budget):
     """Build a low-crossing drawing; exit 2 if it misses the bound."""
-    try:
-        g = _resolve_graph(input_spec, fmt, seed)
-        cert = skewness_exact(g, budget=sk_budget)
-        drawing = build_drawing(g, cert)
-        payload = {
-            "meta": _meta(input_spec, g, seed, sk_budget=sk_budget),
-            "drawing": json.loads(render(drawing, "json")),
-        }
-        if svg_path:
-            Path(svg_path).write_bytes(render(drawing, "svg"))
-        _emit(payload, out, pretty)
-        if not drawing.bound_met:
-            sys.exit(2)
-    except BudgetExceededError as exc:
-        _fail(str(exc), 3)
-    except CrossboundError as exc:
-        _fail(str(exc), 1)
+    g = _resolve_graph(input_spec, fmt, seed)
+    cert = skewness_exact(g, budget=sk_budget)
+    drawing = build_drawing(g, cert)
+    payload = {
+        "meta": _meta(input_spec, g, seed, sk_budget=sk_budget),
+        "drawing": json.loads(render(drawing, "json")),
+    }
+    if svg_path:
+        Path(svg_path).write_bytes(render(drawing, "svg"))
+    _emit(payload, out, pretty)
+    if not drawing.bound_met:
+        sys.exit(2)
 
 
 @main.command()
@@ -225,18 +231,13 @@ def draw(input_spec, fmt, seed, out, pretty, svg_path, sk_budget):
 @click.option("--max-edges", type=int, default=DEFAULT_MAX_EDGES, show_default=True)
 def oracle(input_spec, fmt, seed, out, pretty, max_k, max_edges):
     """Exact crossing number by exhaustive configuration search."""
-    try:
-        g = _resolve_graph(input_spec, fmt, seed)
-        cr = crossing_number(g, max_k=max_k, max_edges=max_edges)
-        if out or pretty:
-            _emit({"meta": _meta(input_spec, g, seed, max_k=max_k,
-                                 max_edges=max_edges), "cr": cr}, out, pretty)
-        else:
-            click.echo(str(cr))
-    except BudgetExceededError as exc:
-        _fail(f"{exc} ({exc.established})" if exc.established else str(exc), 3)
-    except CrossboundError as exc:
-        _fail(str(exc), 1)
+    g = _resolve_graph(input_spec, fmt, seed)
+    cr = crossing_number(g, max_k=max_k, max_edges=max_edges)
+    if out or pretty:
+        _emit({"meta": _meta(input_spec, g, seed, max_k=max_k,
+                             max_edges=max_edges), "cr": cr}, out, pretty)
+    else:
+        click.echo(str(cr))
 
 
 @main.command()
@@ -250,29 +251,24 @@ def oracle(input_spec, fmt, seed, out, pretty, max_k, max_edges):
 @click.option("--max-edges", type=int, default=DEFAULT_MAX_EDGES, show_default=True)
 def critical(input_spec, fmt, seed, out, pretty, k, max_k, max_edges):
     """Test k-crossing-criticality and certify every applicable bound."""
-    try:
-        g = _resolve_graph(input_spec, fmt, seed)
-        crit = is_k_crossing_critical(g, k, max_k=max_k, max_edges=max_edges)
-        payload = {
-            "meta": _meta(input_spec, g, seed, k=k, max_k=max_k, max_edges=max_edges),
-            "k": k,
-            "critical": crit,
+    g = _resolve_graph(input_spec, fmt, seed)
+    crit = is_k_crossing_critical(g, k, max_k=max_k, max_edges=max_edges)
+    payload = {
+        "meta": _meta(input_spec, g, seed, k=k, max_k=max_k, max_edges=max_edges),
+        "k": k,
+        "critical": crit,
+    }
+    if crit:
+        rep = certify_critical_bounds(g, k, max_k=max_k, max_edges=max_edges,
+                                      check_critical=False)
+        payload["cr"] = rep.cr
+        payload["bounds"] = {
+            "skewness_bound": _rat(rep.skewness_bound),
+            "cycle_bound": _rat(rep.cycle_bound),
+            "degree_bound": _rat(rep.degree_bound),
         }
-        if crit:
-            rep = certify_critical_bounds(g, k, max_k=max_k, max_edges=max_edges,
-                                          check_critical=False)
-            payload["cr"] = rep.cr
-            payload["bounds"] = {
-                "skewness_bound": _rat(rep.skewness_bound),
-                "cycle_bound": _rat(rep.cycle_bound),
-                "degree_bound": _rat(rep.degree_bound),
-            }
-            payload["satisfied"] = rep.satisfied
-        _emit(payload, out, pretty)
-    except BudgetExceededError as exc:
-        _fail(str(exc), 3)
-    except CrossboundError as exc:
-        _fail(str(exc), 1)
+        payload["satisfied"] = rep.satisfied
+    _emit(payload, out, pretty)
 
 
 @main.command("verify-lemma")
@@ -281,13 +277,10 @@ def critical(input_spec, fmt, seed, out, pretty, k, max_k, max_edges):
 @_pretty_opt
 def verify_lemma(d_max, out, pretty):
     """Exhaustively verify the degree-reciprocal implications."""
-    try:
-        ok = verify_degree_reciprocal_bounds(d_max)
-        _emit({"d_max": d_max, "holds": ok}, out, pretty)
-        if not ok:
-            sys.exit(1)
-    except CrossboundError as exc:
-        _fail(str(exc), 1)
+    ok = verify_degree_reciprocal_bounds(d_max)
+    _emit({"d_max": d_max, "holds": ok}, out, pretty)
+    if not ok:
+        sys.exit(1)
 
 
 @main.command()
@@ -299,17 +292,14 @@ def verify_lemma(d_max, out, pretty):
 def generate(family, seed, out, fmt):
     """Emit a generated graph (complete:N, bipartite:A:B, planar-plus:N:T,
     maximal-planar:N, petersen, dodecahedron, icosahedron, cube)."""
-    try:
-        if os.path.exists(family):
-            raise CrossboundError("generate takes a family spec, not a file")
-        g = _resolve_graph(family, fmt, seed)
-        data = serialize_graph(g, fmt)
-        if out:
-            Path(out).write_bytes(data)
-        else:
-            click.echo(data.decode("ascii"), nl=False)
-    except CrossboundError as exc:
-        _fail(str(exc), 1)
+    if os.path.exists(family):
+        raise CrossboundError("generate takes a family spec, not a file")
+    g = _resolve_graph(family, fmt, seed)
+    data = serialize_graph(g, fmt)
+    if out:
+        Path(out).write_bytes(data)
+    else:
+        click.echo(data.decode("ascii"), nl=False)
 
 
 if __name__ == "__main__":

@@ -188,7 +188,7 @@ def parse_graph(text: bytes, fmt: str) -> Graph:
     a repeated edge is an error, not a dedupe.
     """
     if isinstance(text, str):
-        text = text.encode("ascii")
+        text = text.encode("utf-8")
     if fmt == "graph6":
         data = text.strip()
         if data.startswith(b">>graph6<<"):
@@ -201,7 +201,11 @@ def parse_graph(text: bytes, fmt: str) -> Graph:
         edges = []
         seen = set()
         max_v = -1
-        for lineno, raw in enumerate(text.decode("ascii").splitlines(), start=1):
+        try:
+            lines = text.decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"edge list is not ASCII (byte {exc.start})") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

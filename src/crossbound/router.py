@@ -10,12 +10,14 @@ embedding only adds edges, and its cheapest dual path is never shorter.
 build_drawing iterates this over a whole removal set, replacing each
 crossing by a degree-4 dummy vertex so later routes see earlier ones as
 ordinary crossable edges, and reports the constructed crossing count next
-to the closed-form skewness bound.
+to the closed-form skewness bound. Its one record is the chain of every
+original edge through its dummies: each working graph is the union of the
+chains' segments, every working edge is a segment of exactly one chain,
+and the crossing records are read off the chains at the end.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +29,7 @@ from .errors import CrossboundError, MissingEdgeError
 from .graph import Edge, Graph, norm_edge
 from .skewness import SkewnessCertificate
 
-# provenance key for a working edge: ("base", edge) or ("route", edge)
+# key of an original edge's chain: ("base", edge) or ("route", edge)
 OriginKey = Tuple[str, Edge]
 
 
@@ -48,29 +50,28 @@ class EdgeRoute:
 def _cheapest_dual_path(
     dual_graph, sources, sinks
 ) -> Tuple[Tuple[int, ...], Tuple[Edge, ...]]:
-    """Fewest-arc dual path from any source face to any sink face;
-    deterministic via heap order."""
+    """Fewest-arc dual path from any source face to any sink face.
+
+    Breadth-first from the sinks, one level at a time in face-id order,
+    up to the first level that holds a source: a face's parent is its
+    lowest-id neighbour one level closer to the sinks, over their lowest
+    arc, and the path starts at the lowest-id source of that level.
+    """
     nbrs = dual_graph.neighbors()
-    INF = float("inf")
-    dist = {f: INF for f in range(dual_graph.num_nodes)}
-    parent: Dict[int, Optional[Tuple[int, Edge]]] = {}
-    heap = []
-    for s in sorted(sinks):
-        dist[s] = 0
-        parent[s] = None
-        heapq.heappush(heap, (0, s))
-    while heap:
-        d, f = heapq.heappop(heap)
-        if d > dist[f]:
-            continue
-        for g2, e in nbrs[f]:
-            if d + 1 < dist[g2]:
-                dist[g2] = d + 1
-                parent[g2] = (f, e)
-                heapq.heappush(heap, (d + 1, g2))
-    start = min(sorted(sources), key=lambda f: (dist[f], f))
-    if dist[start] == INF:
-        raise CrossboundError("dual graph is disconnected between the endpoints")
+    sources = set(sources)
+    parent: Dict[int, Optional[Tuple[int, Edge]]] = {f: None for f in sinks}
+    level = sorted(parent)
+    while not sources.intersection(level):
+        reached = []
+        for f in level:
+            for g2, e in nbrs[f]:
+                if g2 not in parent:
+                    parent[g2] = (f, e)
+                    reached.append(g2)
+        if not reached:
+            raise CrossboundError("dual graph is disconnected between the endpoints")
+        level = sorted(reached)
+    start = min(sources.intersection(level))
     faces = [start]
     arcs: List[Edge] = []
     f = start
@@ -98,34 +99,6 @@ def insert_edge(emb: RotationEmbedding, e: Edge) -> EdgeRoute:
     return EdgeRoute(norm_edge(v1, v2), faces, crossed)
 
 
-def _split_and_chain(edges: set, route: EdgeRoute, next_id: int) -> List[int]:
-    """Apply a route to a working edge set in place: split each crossed
-    edge at a fresh dummy (ids from ``next_id`` up, in crossing order) and
-    thread the routed edge through the dummies. Returns the routed edge's
-    vertex chain."""
-    v1, v2 = route.edge
-    chain = [v1]
-    for dv, (a, b) in enumerate(route.crossed, start=next_id):
-        if norm_edge(a, b) not in edges:
-            raise MissingEdgeError(f"route crosses non-edge {(a, b)}")
-        edges.remove(norm_edge(a, b))
-        edges.add(norm_edge(a, dv))
-        edges.add(norm_edge(dv, b))
-        chain.append(dv)
-    chain.append(v2)
-    edges.update(norm_edge(u, w) for u, w in zip(chain, chain[1:]))
-    return chain
-
-
-def planarize_route(emb: RotationEmbedding, route: EdgeRoute) -> RotationEmbedding:
-    """Planar embedding of emb's graph with the route realized: every
-    crossing becomes a degree-4 dummy vertex splitting both edges."""
-    g = emb.graph
-    edges = set(g.edges())
-    chain = _split_and_chain(edges, route, (max(g.vertices) + 1) if g.n else 0)
-    return embed(Graph(set(g.vertices) | set(chain), edges))
-
-
 @dataclass(frozen=True)
 class CrossingRecord:
     """One crossing of a routed edge: the original edge it crosses and the
@@ -140,10 +113,12 @@ class CrossingRecord:
 class PlanarizationDrawing:
     """A countable drawing certificate: planar base plus routed edges.
 
-    ``planarization`` is the fully planarized working graph (all crossings
-    as dummies); ``chains`` maps every original edge to its vertex chain
-    through its crossing dummies, and ``dummy_map`` names the two original
-    edges meeting at each dummy.
+    ``chains`` maps every original edge to its vertex chain through its
+    crossing dummies; it is the one record of the drawing.
+    ``planarization`` is the union of the chains' segments (all crossings as
+    dummies), each of its edges a segment of exactly one chain.
+    ``dummy_map`` names, for each dummy, the route that made it and the
+    original edge that route crossed there.
     """
 
     graph: Graph
@@ -170,53 +145,42 @@ def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
     base_graph = Graph(g.vertices, base_edges)
     base_emb = embed(base_graph)  # raises NonPlanarError if cert is bogus
 
-    edges = set(base_graph.edges())
-    origin: Dict[Edge, OriginKey] = {e: ("base", e) for e in edges}
-    chains: Dict[OriginKey, List[int]] = {("base", e): [e[0], e[1]] for e in edges}
+    chains: Dict[OriginKey, List[int]] = {("base", e): list(e) for e in base_graph.edges()}
     dummy_map: Dict[int, Tuple[OriginKey, OriginKey]] = {}
-    raw_crossings: List[List[Tuple[OriginKey, int]]] = []
     routes: List[EdgeRoute] = []
-    next_id = (max(g.vertices) + 1) if g.n else 0
+    first_dummy = max(g.vertices) + 1
 
-    working = base_graph
+    def working_graph() -> Tuple[Graph, Dict[Edge, OriginKey]]:
+        """The union of the chains' segments, and the chain of each one."""
+        segment = {norm_edge(u, w): key for key, c in chains.items() for u, w in zip(c, c[1:])}
+        return Graph(set(g.vertices) | set(dummy_map), segment), segment
+
     for e0 in removed:
+        working, segment = working_graph()
         route = insert_edge(embed(working), e0)
         routes.append(route)
-        rkey: OriginKey = ("route", e0)
-        chain = _split_and_chain(edges, route, next_id)
-        next_id += len(route.crossed)
-        hit: List[Tuple[OriginKey, int]] = []
-        for (a, b), dv in zip(route.crossed, chain[1:-1]):
-            okey = origin.pop((a, b))
-            origin[norm_edge(a, dv)] = okey
-            origin[norm_edge(dv, b)] = okey
-            # record the dummy inside the crossed edge's chain, between a and b
+        start = first_dummy + len(dummy_map)
+        own = range(start, start + len(route.crossed))
+        for dv, (a, b) in zip(own, route.crossed):
+            okey = segment.pop(norm_edge(a, b), None)
+            if okey is None:
+                raise MissingEdgeError(f"route crosses non-edge {(a, b)}")
             oc = chains[okey]
-            for i in range(len(oc) - 1):
-                if {oc[i], oc[i + 1]} == {a, b}:
-                    oc.insert(i + 1, dv)
-                    break
-            else:
-                raise CrossboundError("crossed edge not found in its own chain")
-            dummy_map[dv] = (rkey, okey)
-            hit.append((okey, dv))
-        for u, w in zip(chain, chain[1:]):
-            origin[norm_edge(u, w)] = rkey
-        chains[rkey] = chain
-        raw_crossings.append(hit)
-        working = Graph(set(working.vertices) | set(chain), edges)
+            oc.insert(min(oc.index(a), oc.index(b)) + 1, dv)
+            dummy_map[dv] = (("route", e0), okey)
+        chains[("route", e0)] = [e0[0], *own, e0[1]]
 
+    working, _ = working_graph()
     if not is_planar(working):
         raise CrossboundError("planarized drawing is not planar; routing bug")
 
+    # a route's records are the dummies it made itself, in crossing order;
+    # later routes also add dummies to its chain
+    records: Dict[OriginKey, List[CrossingRecord]] = {("route", e): [] for e in removed}
+    for dv, (rkey, okey) in dummy_map.items():
+        records[rkey].append(CrossingRecord(okey[1], okey[0], chains[okey].index(dv) - 1))
+    crossings = tuple(tuple(recs) for recs in records.values())
     final_chains = {k: tuple(v) for k, v in chains.items()}
-    crossings = tuple(
-        tuple(
-            CrossingRecord(okey[1], okey[0], final_chains[okey].index(dv) - 1)
-            for okey, dv in hit
-        )
-        for hit in raw_crossings
-    )
     count = len(dummy_map)
     bound = skewness_crossing_bound(g.n, len(removed))
     return PlanarizationDrawing(
@@ -286,15 +250,12 @@ def _layout(drawing: PlanarizationDrawing) -> Dict[int, Tuple[float, float]]:
     import numpy as np
 
     p = drawing.planarization
-    if p.n == 1:
-        return {p.vertices[0]: (0.5, 0.5)}
     if p.n == 2:
         a, b = p.vertices
         return {a: (0.1, 0.5), b: (0.9, 0.5)}
     emb_t, _ = triangulate(embed(p))
     outer = emb_t.faces[0].boundary
     verts = list(emb_t.graph.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
     pos = {}
     for i, v in enumerate(outer):
         ang = 2 * math.pi * i / len(outer) - math.pi / 2

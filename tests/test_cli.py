@@ -80,6 +80,10 @@ def test_oracle_budget_exit_code(runner):
     res = runner.invoke(main, ["oracle", "complete:6", "--max-k", "2"])
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"].endswith("(cr > 2)")
+    # every command reports the established fact, not only oracle
+    res = runner.invoke(main, ["critical", "complete:5", "--k", "1", "--max-k", "0"])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == "cr exceeds budget on a component (cr > 0)"
 
 
 def test_analyze_k6(runner):
@@ -159,6 +163,20 @@ def test_missing_input_is_error(runner):
     res = runner.invoke(main, ["analyze", "no/such/file"])
     assert res.exit_code == 1
     assert "error" in json.loads(res.stderr)
+
+
+def test_unreadable_input_is_error(runner, tmp_path):
+    res = runner.invoke(main, ["analyze", str(tmp_path)])
+    assert res.exit_code == 1
+    assert "cannot read" in json.loads(res.stderr)["error"]
+
+
+def test_non_ascii_edgelist_is_error(runner, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n1 \xff2\n")
+    res = runner.invoke(main, ["analyze", str(bad), "--format", "edgelist"])
+    assert res.exit_code == 1
+    assert "not ASCII" in json.loads(res.stderr)["error"]
 
 
 def test_pretty_output_is_indented(runner):

@@ -1,4 +1,5 @@
-"""Byte-identity of cheap CLI invocations: exit code and sha256 of stdout.
+"""Byte-identity of cheap CLI invocations: exit code and sha256 of stdout,
+and of the ``--svg`` picture for a few drawings.
 
 The hashes pin the exact output of the commands below, so a refactor that
 should change nothing observable is checked to change nothing. Update a
@@ -34,3 +35,19 @@ def test_cli_output_is_pinned(command, exit_code, digest):
     res = CliRunner().invoke(main, command.split())
     assert res.exit_code == exit_code
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+SVG_GOLDEN = [
+    ("draw petersen", "032b38b8149443da015056f294474defafacc6605389842a92b3167b27177558"),
+    ("draw bipartite:3:4", "da585353eeb35e0c5769da5357c33f74a014371915c55656dc97af2b30a72a38"),
+    ("draw complete:6", "7adef544c2d993f92d9c50569fad1995fc355506d253ab85551b2b2d7eb53b06"),
+    ("draw maximal-planar:50 --seed 1", "9a6674a9337c8bf1a6c4611ef4db1dbc8b77b4625027c09d4db4ea8c10a217cd"),
+]
+
+
+@pytest.mark.parametrize("command, digest", SVG_GOLDEN, ids=[c for c, _ in SVG_GOLDEN])
+def test_svg_output_is_pinned(command, digest, tmp_path):
+    svg = tmp_path / "out.svg"
+    res = CliRunner().invoke(main, command.split() + ["--svg", str(svg)])
+    assert res.exit_code == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest

@@ -43,7 +43,7 @@ def test_duplicate_edge_rejected():
 
 @pytest.mark.parametrize(
     "bad",
-    [b"0\n", b"0 1 2\n", b"a b\n", b"-1 2\n", b"0 0\n"],
+    [b"0\n", b"0 1 2\n", b"a b\n", b"-1 2\n", b"0 0\n", b"0 1\n1 \xff2\n", "0 1\n1 \xff2\n"],
 )
 def test_edgelist_malformed(bad):
     with pytest.raises(GraphFormatError):

@@ -17,7 +17,6 @@ from crossbound.oracle import crossing_number
 from crossbound.router import (
     build_drawing,
     insert_edge,
-    planarize_route,
     render,
     strip_routes,
 )
@@ -110,19 +109,6 @@ def test_insert_respects_edge_bound():
     assert sparse >= 50
 
 
-def test_planarize_route_is_planar_with_euler_counts(k5):
-    g = delete_edge(k5, (0, 1))
-    emb = embed(g)
-    route = insert_edge(emb, (0, 1))
-    p = planarize_route(emb, route)
-    k = len(route.crossed)
-    assert p.graph.n == g.n + k
-    # each crossing splits one edge (net +1); the new edge enters as a
-    # chain of k + 1 segments
-    assert p.graph.m == g.m + k + (k + 1)
-    assert p.graph.n - p.graph.m + len(p.faces) == 2
-
-
 def test_build_drawing_k5_tight(k5):
     drawing = build_drawing(k5, skewness_exact(k5))
     assert drawing.crossing_count == 1
@@ -149,6 +135,10 @@ def test_build_drawing_counts_agree_with_records():
         assert drawing.crossing_count == sum(len(r.crossed) for r in drawing.routes)
         assert drawing.bound_met
         assert is_planar(drawing.planarization)
+        # each crossing adds one dummy vertex and splits two edges (net +2)
+        k = drawing.crossing_count
+        assert drawing.planarization.n == g.n + k
+        assert drawing.planarization.m == g.m + 2 * k
         # order positions are sane along each crossed chain
         for recs in drawing.crossings:
             for rec in recs:
