@@ -30,7 +30,7 @@ from .bounds import (
     verify_degree_reciprocal_bounds,
 )
 from .errors import BudgetExceededError, CrossboundError
-from .graph import Graph, min_degree, parse_graph, serialize_graph
+from .graph import Graph, check_graph_size, min_degree, parse_graph, serialize_graph
 from .lightcycle import light_cycle_general
 from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_K, crossing_number
 from .router import build_drawing, render
@@ -38,12 +38,8 @@ from .skewness import skewness_exact
 from . import generators
 
 
-# Largest vertex or edge count a family spec may ask for; maximal-planar:400
-# (1194 edges) is the largest spec in use.
-MAX_SPEC_SIZE = 2000
-
-# (vertices, edges) implied by each sized family spec, computed before
-# anything is generated
+# (vertices, edges) implied by each sized family spec, checked against
+# MAX_GRAPH_SIZE before anything is generated
 _SPEC_SIZE = {
     ("complete", 1): lambda n: (n, n * (n - 1) // 2),
     ("bipartite", 2): lambda a, b: (a + b, a * b),
@@ -65,10 +61,7 @@ def _resolve_graph(spec: str, fmt: str, seed: int) -> Graph:
         raise CrossboundError(f"{spec!r}: sizes in a family spec must be integers") from None
     size = _SPEC_SIZE.get((family, len(args)))
     n, m = size(*args) if size else (0, 0)
-    if max(n, m) > MAX_SPEC_SIZE:
-        raise CrossboundError(
-            f"{spec!r} implies {n} vertices and {m} edges; the limit is {MAX_SPEC_SIZE}"
-        )
+    check_graph_size(repr(spec), n, m)
     rng = random.Random(seed)
     if family == "complete" and len(args) == 1:
         return generators.complete(*args)

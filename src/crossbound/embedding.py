@@ -1,20 +1,22 @@
 """Planarity, combinatorial embeddings, faces, duals, and triangulation.
 
 An embedding is stored as a rotation system: a cyclic order of neighbors
-around each vertex. Faces are derived by the standard next-edge walk and
-validated against Euler's formula and the exact face-sum identities
-(sum of face weights = |V|, sum of face lengths = 2|E|) at construction,
-so an invalid embedding can never escape this module.
+around each vertex. Faces are derived by the standard next-edge walk.
+Construction checks that each rotation is a permutation of its vertex's
+non-empty neighborhood and that the faces satisfy Euler's formula, so an
+invalid embedding can never escape this module. Face lengths then sum to
+2|E| and face weights to |V| by construction.
 
-Face weights are exact rationals: a vertex contributes 1/deg once per
-appearance on the boundary walk.
+Face weights are exact rationals, computed when read: a vertex
+contributes 1/deg once per appearance on the boundary walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
@@ -28,12 +30,17 @@ class FaceRecord:
 
     ``boundary`` lists the tail vertex of each directed edge on the walk,
     so ``length == len(boundary)`` counts edge-sides (a bridge contributes
-    twice to its face).
+    twice to its face). ``weight`` is the sum of 1/deg over the boundary,
+    computed from ``graph`` on each read.
     """
 
     boundary: Tuple[int, ...]
     length: int
-    weight: Fraction
+    graph: Graph = field(repr=False, compare=False)
+
+    @property
+    def weight(self) -> Fraction:
+        return sum((Fraction(1, self.graph.degree(x)) for x in self.boundary), Fraction(0))
 
     def is_simple_cycle(self) -> bool:
         return self.length >= 3 and len(set(self.boundary)) == self.length
@@ -46,9 +53,17 @@ class RotationEmbedding:
 
     def __init__(self, graph: Graph, rotation: Dict[int, Tuple[int, ...]]):
         self.graph = graph
-        self.rotation = {v: tuple(rotation[v]) for v in graph.vertices}
+        self.rotation = {v: tuple(rotation.get(v, ())) for v in graph.vertices}
+        for v, nbrs in self.rotation.items():
+            if not nbrs or tuple(sorted(nbrs)) != graph.neighbors(v):
+                raise GraphFormatError(
+                    f"rotation at vertex {v} is empty or not a permutation of its neighbors")
         self.faces, self._face_of = self._trace_faces()
-        self._validate()
+        if graph.n - graph.m + len(self.faces) != 2:
+            raise NonPlanarError(
+                f"rotation system is not planar: V-E+F = "
+                f"{graph.n}-{graph.m}+{len(self.faces)} != 2"
+            )
 
     def _trace_faces(self):
         rot = self.rotation
@@ -58,7 +73,6 @@ class RotationEmbedding:
         seen = set()
         faces: List[FaceRecord] = []
         face_of: Dict[Tuple[int, int], int] = {}
-        degs = {v: self.graph.degree(v) for v in self.graph.vertices}
         for start in sorted(pos):
             if start in seen:
                 continue
@@ -70,21 +84,8 @@ class RotationEmbedding:
                 walk.append(u)
                 nbrs = rot[v]
                 u, v = v, nbrs[(pos[(v, u)] + 1) % len(nbrs)]
-            weight = sum((Fraction(1, degs[x]) for x in walk), Fraction(0))
-            faces.append(FaceRecord(tuple(walk), len(walk), weight))
+            faces.append(FaceRecord(tuple(walk), len(walk), self.graph))
         return tuple(faces), face_of
-
-    def _validate(self):
-        g = self.graph
-        if g.n - g.m + len(self.faces) != 2:
-            raise NonPlanarError(
-                f"rotation system is not planar: V-E+F = "
-                f"{g.n}-{g.m}+{len(self.faces)} != 2"
-            )
-        if sum(f.weight for f in self.faces) != g.n:
-            raise NonPlanarError("face weights do not sum to |V|")
-        if sum(f.length for f in self.faces) != 2 * g.m:
-            raise NonPlanarError("face lengths do not sum to 2|E|")
 
     def face_of(self, u: int, v: int) -> int:
         """Face id to the left of the directed edge (u, v)."""
@@ -169,7 +170,7 @@ def dual(emb: RotationEmbedding) -> DualGraph:
     return DualGraph(len(emb.faces), tuple(sorted(arcs, key=lambda a: a[2])))
 
 
-def _chord_positions(g: Graph, walk: Tuple[int, ...]):
+def _chord_positions(edges: Collection[Edge], walk: Tuple[int, ...]):
     """Walk positions (i, j) of a chord candidate inside a face: fan from
     the lowest-id walk vertex, then fall back to any valid walk pair."""
     k = len(walk)
@@ -178,7 +179,7 @@ def _chord_positions(g: Graph, walk: Tuple[int, ...]):
     def ok(i, j):
         a, b = walk[i], walk[j]
         d = (j - i) % k
-        return a != b and d not in (0, 1, k - 1) and not g.has_edge(a, b)
+        return a != b and d not in (0, 1, k - 1) and norm_edge(a, b) not in edges
 
     for off in range(2, k - 1):
         j = (ai + off) % k
@@ -192,7 +193,8 @@ def _chord_positions(g: Graph, walk: Tuple[int, ...]):
 
 
 def _insert_chord(rotation: Dict[int, list], walk: Tuple[int, ...], i: int, j: int):
-    """Split a face by a chord between walk positions i and j.
+    """Split a face by a chord between walk positions i < j; returns the
+    walks of the two new faces.
 
     With the next-edge convention used by _trace_faces (successor of the
     incoming neighbor), inserting each endpoint right after the other
@@ -202,6 +204,14 @@ def _insert_chord(rotation: Dict[int, list], walk: Tuple[int, ...], i: int, j: i
     c, pc = walk[j], walk[j - 1]
     rotation[a].insert(rotation[a].index(pa) + 1, c)
     rotation[c].insert(rotation[c].index(pc) + 1, a)
+    return walk[j:] + walk[:i + 1], walk[i:j + 1]
+
+
+def _from_least_edge(walk: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The walk rotated to start at its least directed edge, as traced."""
+    k = len(walk)
+    t = min(range(k), key=lambda t: (walk[t], walk[(t + 1) % k]))
+    return walk[t:] + walk[:t]
 
 
 def triangulate(emb: RotationEmbedding) -> Tuple[RotationEmbedding, FrozenSet[Edge]]:
@@ -212,26 +222,30 @@ def triangulate(emb: RotationEmbedding) -> Tuple[RotationEmbedding, FrozenSet[Ed
     output faces separated only by fill edges. Fill edges never duplicate
     existing edges, and the result is maximal planar (|E| = 3|V| - 6) for
     inputs with >= 3 vertices.
+
+    Faces are split in face-list order (least directed edge first), popped
+    from a heap of their walks; a chord changes only the face it splits,
+    and the embedding is built and validated once, at the end.
     """
     if emb.graph.n < 3:
         raise GraphFormatError("triangulation needs at least 3 vertices")
-    cur = emb
     rotation = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
-    fills = set()
-    while True:
-        target = None
-        for f in cur.faces:
-            if f.length > 3:
-                target = f
-                break
-        if target is None:
-            return cur, frozenset(fills)
-        pos = _chord_positions(cur.graph, target.boundary)
+    edges = set(emb.graph.edges())
+    fills = []
+    heap = [f.boundary for f in emb.faces if f.length > 3]
+    heapq.heapify(heap)
+    while heap:
+        walk = heapq.heappop(heap)
+        pos = _chord_positions(edges, walk)
         if pos is None:
             raise NonPlanarError("no chord available to triangulate a long face")
-        i, j = pos
-        _insert_chord(rotation, target.boundary, i, j)
-        chord = norm_edge(target.boundary[i], target.boundary[j])
-        fills.add(chord)
-        g2 = Graph(cur.graph.vertices, cur.graph.edges() + (chord,))
-        cur = RotationEmbedding(g2, {v: tuple(nbrs) for v, nbrs in rotation.items()})
+        i, j = sorted(pos)
+        chord = norm_edge(walk[i], walk[j])
+        edges.add(chord)
+        fills.append(chord)
+        for part in _insert_chord(rotation, walk, i, j):
+            if len(part) > 3:
+                heapq.heappush(heap, _from_least_edge(part))
+    if not fills:
+        return emb, frozenset()
+    return RotationEmbedding(Graph(emb.graph.vertices, edges), rotation), frozenset(fills)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 import networkx as nx
+from networkx.readwrite.graph6 import data_to_n, n_to_data
 
 from .errors import DuplicateEdgeError, GraphFormatError, MissingEdgeError
 
@@ -180,12 +181,23 @@ def components(g: Graph) -> List[Graph]:
 
 _FORMATS = ("graph6", "edgelist")
 
+# Largest vertex or edge count an input may have, checked before any Graph
+# is built; maximal-planar:400 (1194 edges) is the largest input in use.
+MAX_GRAPH_SIZE = 2000
+
+
+def check_graph_size(what: str, n: int, m: int):
+    if max(n, m) > MAX_GRAPH_SIZE:
+        raise GraphFormatError(f"{what}: {n} vertices, {m} edges; the limit is {MAX_GRAPH_SIZE}")
+
 
 def parse_graph(text: bytes, fmt: str) -> Graph:
     """Parse graph6 or whitespace edge-list bytes into a Graph.
 
     Edge lists are 0-indexed, one edge per line, '#' starts a comment;
-    a repeated edge is an error, not a dedupe.
+    a repeated edge is an error, not a dedupe. Inputs over MAX_GRAPH_SIZE
+    vertices (graph6 size field, edge list largest id + 1) or edges are
+    rejected before any graph is built.
     """
     if isinstance(text, str):
         text = text.encode("utf-8")
@@ -194,8 +206,10 @@ def parse_graph(text: bytes, fmt: str) -> Graph:
         if data.startswith(b">>graph6<<"):
             data = data[len(b">>graph6<<"):]
         try:
+            n, units = data_to_n([c - 63 for c in data])
+            check_graph_size("graph6 input", n, sum(bin(c).count("1") for c in units))
             return Graph.from_networkx(nx.from_graph6_bytes(data))
-        except (nx.NetworkXError, ValueError) as exc:
+        except (nx.NetworkXError, ValueError, IndexError) as exc:
             raise GraphFormatError(f"bad graph6 input: {exc}") from exc
     if fmt == "edgelist":
         edges = []
@@ -226,6 +240,7 @@ def parse_graph(text: bytes, fmt: str) -> Graph:
             seen.add(e)
             edges.append(e)
             max_v = max(max_v, u, v)
+        check_graph_size("edge list", max_v + 1, len(edges))
         return Graph(range(max_v + 1), edges)
     raise GraphFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
@@ -235,7 +250,15 @@ def serialize_graph(g: Graph, fmt: str) -> bytes:
     if fmt == "graph6":
         if g.vertices != tuple(range(g.n)):
             raise GraphFormatError("graph6 output needs vertex ids 0..n-1")
-        return nx.to_graph6_bytes(g.to_networkx(), header=False).strip() + b"\n"
+        n = g.n
+        # bit v(v-1)/2 + u of the upper triangle, column by column, is edge
+        # u < v; six bits per unit, most significant first; unit x prints as x + 63
+        bits = bytearray((n * (n - 1) // 2 + 5) // 6)
+        for u, v in g.edges():
+            k = v * (v - 1) // 2 + u
+            bits[k // 6] |= 32 >> k % 6
+        units = bytes(n_to_data(n)) + bits
+        return units.translate(bytes(range(63, 127)) + bytes(192)) + b"\n"
     if fmt == "edgelist":
         lines = [f"{u} {v}" for u, v in sorted(g.edges())]
         return ("\n".join(lines) + "\n").encode("ascii") if lines else b""

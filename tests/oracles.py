@@ -61,3 +61,25 @@ def independent_is_planar(g: Graph) -> bool:
     if g.n < 5:
         return True
     return not has_kuratowski_subdivision(g)
+
+
+def chord_by_chord_triangulate(emb):
+    """Reference for ``triangulate``: split the first long face of the
+    current embedding, rebuild the whole embedding, repeat. Quadratic, but
+    every step's face list comes from a fresh trace."""
+    from crossbound.embedding import RotationEmbedding, _chord_positions, _insert_chord
+    from crossbound.graph import norm_edge
+
+    cur = emb
+    rotation = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
+    fills = set()
+    while True:
+        target = next((f for f in cur.faces if f.length > 3), None)
+        if target is None:
+            return cur, frozenset(fills)
+        i, j = _chord_positions(set(cur.graph.edges()), target.boundary)
+        _insert_chord(rotation, target.boundary, i, j)
+        chord = norm_edge(target.boundary[i], target.boundary[j])
+        fills.add(chord)
+        g2 = Graph(cur.graph.vertices, cur.graph.edges() + (chord,))
+        cur = RotationEmbedding(g2, {v: tuple(nbrs) for v, nbrs in rotation.items()})

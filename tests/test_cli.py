@@ -51,6 +51,17 @@ def test_oversized_family_spec_rejected_before_generation(runner, monkeypatch, s
     assert "limit" in json.loads(res.stderr)["error"]
 
 
+def test_oversized_file_rejected(runner, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_bytes(b"0 2000\n")
+    res = runner.invoke(main, ["analyze", str(path), "--format", "edgelist"])
+    assert res.exit_code == 1
+    assert "limit" in json.loads(res.stderr)["error"]
+    path.write_bytes(b"0 1999\n")
+    res = runner.invoke(main, ["oracle", str(path), "--format", "edgelist"])
+    assert res.exit_code == 0 and res.output.strip() == "0"
+
+
 def test_largest_family_specs_in_use_pass_the_size_check(runner):
     # K63 has 1953 edges, under the limit; K64 (2016 edges) is rejected above
     res = runner.invoke(main, ["generate", "complete:63"])

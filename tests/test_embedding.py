@@ -12,11 +12,12 @@ from crossbound.embedding import (
     kuratowski_witness,
     triangulate,
 )
-from crossbound.errors import NonPlanarError
+from crossbound import embedding
+from crossbound.errors import GraphFormatError, NonPlanarError
 from crossbound.generators import random_maximal_planar, random_planar_min_degree3
 from crossbound.graph import Graph, min_degree
 
-from oracles import independent_is_planar
+from oracles import chord_by_chord_triangulate, independent_is_planar
 
 
 def test_is_planar_basics(k4, k5, k33, petersen):
@@ -124,6 +125,17 @@ def test_invalid_rotation_rejected(c4):
         RotationEmbedding(k4, bad)
 
 
+def test_rotation_must_permute_each_neighborhood(c4):
+    # passes Euler (V-E+F = 4-4+2) and both face-sum identities, but the
+    # rotation's edges 0-2 and 1-3 are not C4's edges 0-1 and 2-3
+    bad = {0: (2, 3), 2: (0, 1), 1: (2, 3), 3: (1, 0)}
+    with pytest.raises(GraphFormatError):
+        RotationEmbedding(c4, bad)
+    # two isolated vertices pass Euler (2-0+0) with no face at all
+    with pytest.raises(GraphFormatError):
+        RotationEmbedding(Graph(range(2)), {0: (), 1: ()})
+
+
 def test_dual_k4(k4):
     d = dual(embed(k4))
     assert d.num_nodes == 4
@@ -192,3 +204,48 @@ def test_triangulate_random_trees_and_sparse():
         g = Graph.from_networkx(nx.random_labeled_tree(n, seed=rng.randint(0, 10**6)))
         tri, fills = triangulate(embed(g))
         assert tri.graph.m == 3 * n - 6
+
+
+def _random_sparse_planar(rng):
+    """A random connected planar graph between a tree and maximal planar:
+    a spanning tree of a random triangulation plus some of its other edges."""
+    n = rng.randint(3, 30)
+    tri = random_maximal_planar(n, rng).to_networkx()
+    for u, v in tri.edges():
+        tri[u][v]["weight"] = rng.random()
+    tree = {frozenset(e) for e in nx.minimum_spanning_tree(tri).edges()}
+    keep = rng.random()
+    edges = [e for e in tri.edges() if frozenset(e) in tree or rng.random() < keep]
+    return Graph(range(n), edges)
+
+
+def test_triangulate_matches_chord_by_chord_reference():
+    rng = random.Random(23)
+    long_faces = 0
+    for _ in range(120):
+        emb = embed(_random_sparse_planar(rng))
+        long_faces += any(f.length > 3 for f in emb.faces)
+        tri, fills = triangulate(emb)
+        ref, ref_fills = chord_by_chord_triangulate(emb)
+        assert fills == ref_fills
+        assert tri.graph == ref.graph
+        assert tri.rotation == ref.rotation
+        assert [f.boundary for f in tri.faces] == [f.boundary for f in ref.faces]
+    assert long_faces >= 100
+
+
+def test_triangulate_builds_one_embedding(monkeypatch):
+    builds = []
+
+    class Counting(RotationEmbedding):
+        def __init__(self, graph, rotation):
+            builds.append(graph.m)
+            super().__init__(graph, rotation)
+
+    monkeypatch.setattr(embedding, "RotationEmbedding", Counting)
+    c12 = Graph(range(12), [(i, (i + 1) % 12) for i in range(12)])
+    emb = embed(c12)
+    builds.clear()
+    tri, fills = triangulate(emb)
+    assert len(fills) == 3 * 12 - 6 - 12
+    assert builds == [3 * 12 - 6]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crossbound.errors import DuplicateEdgeError, GraphFormatError, MissingEdgeError
 from crossbound.graph import (
+    MAX_GRAPH_SIZE,
     Graph,
     contract_edges,
     delete_edge,
@@ -53,6 +54,37 @@ def test_edgelist_malformed(bad):
 def test_graph6_malformed():
     with pytest.raises(GraphFormatError):
         parse_graph(b"\x01\x02", "graph6")
+    with pytest.raises(GraphFormatError):
+        parse_graph(b"", "graph6")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 62, 63, 64, 65, 100, 200, 300])
+def test_graph6_encoder_matches_networkx_writer(n):
+    # 62/63 is where the size field grows from one unit to four
+    rng = random.Random(n)
+    for density in (0.0, 0.02, 0.3, 1.0):
+        g = Graph(range(n), [(u, v) for v in range(n) for u in range(v) if rng.random() < density])
+        data = serialize_graph(g, "graph6")
+        assert data == nx.to_graph6_bytes(g.to_networkx(), header=False).strip() + b"\n"
+        if g.m <= MAX_GRAPH_SIZE:
+            assert parse_graph(data, "graph6") == g
+        else:
+            with pytest.raises(GraphFormatError, match="limit"):
+                parse_graph(data, "graph6")
+
+
+def test_input_size_limit_applies_before_any_graph_is_built():
+    assert MAX_GRAPH_SIZE == 2000
+    assert parse_graph(b"0 1999\n", "edgelist").n == 2000
+    with pytest.raises(GraphFormatError, match="limit"):
+        parse_graph(b"0 2000\n", "edgelist")
+    k64 = "".join(f"{u} {v}\n" for v in range(64) for u in range(v)).encode()
+    with pytest.raises(GraphFormatError, match="64 vertices, 2016 edges"):
+        parse_graph(k64, "edgelist")
+    g6 = serialize_graph(Graph(range(2001)), "graph6")
+    with pytest.raises(GraphFormatError, match="2001 vertices"):
+        parse_graph(g6, "graph6")
+    assert parse_graph(serialize_graph(Graph(range(2000)), "graph6"), "graph6").n == 2000
 
 
 def test_delete_edge(k5, c4):

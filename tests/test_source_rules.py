@@ -23,3 +23,9 @@ def test_check_planarity_only_in_embedding():
         if path.name != "embedding.py" and "check_planarity" in path.read_text()
     ]
     assert "embedding.py" in {path.name for path in SOURCES} and not found, found
+
+
+def test_graph6_writer_is_not_networkx():
+    # networkx's writer walks all n(n-1)/2 vertex pairs in Python
+    found = [path.name for path in SOURCES if "to_graph6_bytes" in path.read_text()]
+    assert SOURCES and not found, found
