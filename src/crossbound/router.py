@@ -7,13 +7,14 @@ arcs. Every arc costs one, so a route crosses as few edges as the fixed
 embedding allows. That is at most floor((2n - 7) / 3): triangulating the
 embedding only adds edges, and its cheapest dual path is never shorter.
 
-build_drawing iterates this over a whole removal set, replacing each
-crossing by a degree-4 dummy vertex so later routes see earlier ones as
-ordinary crossable edges, and reports the constructed crossing count next
-to the closed-form skewness bound. Its one record is the chain of every
-original edge through its dummies: each working graph is the union of the
-chains' segments, every working edge is a segment of exactly one chain,
-and the crossing records are read off the chains at the end.
+build_drawing iterates this over a whole removal set in one embedding.
+Each route is spliced into the rotation system, every crossing becoming a
+degree-4 dummy vertex around which the two edges alternate, so the next
+route sees the earlier ones as ordinary crossable edges. The Euler check of
+each spliced embedding certifies the planarization, and the SVG is laid out
+in the last one. The drawing's one record is the chain of every original
+edge through its dummies; the crossing records are read off the chains at
+the end, and their count is reported next to the closed-form skewness bound.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .bounds import skewness_crossing_bound
-from .embedding import RotationEmbedding, dual, embed, is_planar, triangulate
+from .embedding import RotationEmbedding, dual, embed, triangulate
 from .errors import CrossboundError, MissingEdgeError
 from .graph import Edge, Graph, norm_edge
 from .skewness import SkewnessCertificate
@@ -37,9 +38,9 @@ OriginKey = Tuple[str, Edge]
 class EdgeRoute:
     """A routed edge: the faces traversed and the real edges crossed.
 
-    ``face_sequence`` refers to the embedding the route was computed in,
-    and ``crossed[i]`` separates ``face_sequence[i]`` from
-    ``face_sequence[i+1]``.
+    ``face_sequence`` refers to the embedding the route was computed in:
+    in a drawing, the base embedding extended by the earlier routes.
+    ``crossed[i]`` separates ``face_sequence[i]`` from ``face_sequence[i+1]``.
     """
 
     edge: Edge
@@ -116,7 +117,9 @@ class PlanarizationDrawing:
     ``chains`` maps every original edge to its vertex chain through its
     crossing dummies; it is the one record of the drawing.
     ``planarization`` is the union of the chains' segments (all crossings as
-    dummies), each of its edges a segment of exactly one chain.
+    dummies), each of its edges a segment of exactly one chain, and
+    ``embedding`` is the base embedding with every route spliced in; its
+    graph is ``planarization``.
     ``dummy_map`` names, for each dummy, the route that made it and the
     original edge that route crossed there.
     """
@@ -127,6 +130,7 @@ class PlanarizationDrawing:
     routes: Tuple[EdgeRoute, ...]
     crossings: Tuple[Tuple[CrossingRecord, ...], ...]  # parallel to routes
     planarization: Graph
+    embedding: RotationEmbedding
     chains: Dict[OriginKey, Tuple[int, ...]]
     dummy_map: Dict[int, Tuple[OriginKey, OriginKey]]
     crossing_count: int
@@ -135,44 +139,47 @@ class PlanarizationDrawing:
 
 
 def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
-    """Insert every removed edge back into the planar base, one at a time
-    with planarization in between, and count the crossings."""
+    """Insert every removed edge back into the planar base, one at a time,
+    each routed in the embedding the earlier ones were spliced into, and
+    count the crossings."""
     removed = tuple(sorted(norm_edge(u, v) for u, v in cert.removed))
     base_edges = set(g.edges()) - set(removed)
     for e in removed:
         if not g.has_edge(*e):
             raise MissingEdgeError(f"{e} is not an edge of the graph")
     base_graph = Graph(g.vertices, base_edges)
-    base_emb = embed(base_graph)  # raises NonPlanarError if cert is bogus
+    emb = base_emb = embed(base_graph)  # raises NonPlanarError if cert is bogus
 
     chains: Dict[OriginKey, List[int]] = {("base", e): list(e) for e in base_graph.edges()}
+    segment: Dict[Edge, OriginKey] = {e: ("base", e) for e in base_graph.edges()}
     dummy_map: Dict[int, Tuple[OriginKey, OriginKey]] = {}
     routes: List[EdgeRoute] = []
     first_dummy = max(g.vertices) + 1
-
-    def working_graph() -> Tuple[Graph, Dict[Edge, OriginKey]]:
-        """The union of the chains' segments, and the chain of each one."""
-        segment = {norm_edge(u, w): key for key, c in chains.items() for u, w in zip(c, c[1:])}
-        return Graph(set(g.vertices) | set(dummy_map), segment), segment
-
     for e0 in removed:
-        working, segment = working_graph()
-        route = insert_edge(embed(working), e0)
+        route = insert_edge(emb, e0)
         routes.append(route)
         start = first_dummy + len(dummy_map)
-        own = range(start, start + len(route.crossed))
-        for dv, (a, b) in zip(own, route.crossed):
-            okey = segment.pop(norm_edge(a, b), None)
-            if okey is None:
-                raise MissingEdgeError(f"route crosses non-edge {(a, b)}")
+        path = [e0[0], *range(start, start + len(route.crossed)), e0[1]]
+        rot = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
+        # dummy i splits crossed edge i, oriented (x, y) with face i on its
+        # left; around it come x, the previous route vertex, y, the next one
+        for i, (a, b) in enumerate(route.crossed):
+            dv, okey = path[i + 1], segment.pop((a, b))
+            x, y = (a, b) if emb.face_of(a, b) == route.face_sequence[i] else (b, a)
+            rot[x][rot[x].index(y)] = rot[y][rot[y].index(x)] = dv
+            rot[dv] = [x, path[i], y, path[i + 2]]
             oc = chains[okey]
             oc.insert(min(oc.index(a), oc.index(b)) + 1, dv)
+            segment[norm_edge(x, dv)] = segment[norm_edge(dv, y)] = okey
             dummy_map[dv] = (("route", e0), okey)
-        chains[("route", e0)] = [e0[0], *own, e0[1]]
-
-    working, _ = working_graph()
-    if not is_planar(working):
-        raise CrossboundError("planarized drawing is not planar; routing bug")
+        # each endpoint enters the route's end face after a neighbour on it
+        for end, nxt, face in ((path[0], path[1], route.face_sequence[0]),
+                               (path[-1], path[-2], route.face_sequence[-1])):
+            w = min(w for w in emb.graph.neighbors(end) if emb.face_of(w, end) == face)
+            rot[end].insert(rot[end].index(w) + 1, nxt)
+        chains[("route", e0)] = path
+        segment.update((norm_edge(u, w), ("route", e0)) for u, w in zip(path, path[1:]))
+        emb = RotationEmbedding(Graph(rot, segment), rot)  # Euler-checked: planar
 
     # a route's records are the dummies it made itself, in crossing order;
     # later routes also add dummies to its chain
@@ -189,7 +196,8 @@ def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
         removed=removed,
         routes=tuple(routes),
         crossings=crossings,
-        planarization=working,
+        planarization=emb.graph,
+        embedding=emb,
         chains=final_chains,
         dummy_map=dummy_map,
         crossing_count=count,
@@ -241,7 +249,7 @@ def _drawing_dict(drawing: PlanarizationDrawing) -> dict:
 def _layout(drawing: PlanarizationDrawing) -> Dict[int, Tuple[float, float]]:
     """Barycentric straight-line coordinates of the planarization.
 
-    The planarization is triangulated (layout-only fills) so the position
+    The drawing's embedding is triangulated (layout-only fills) so the position
     system is well-conditioned even for low-connectivity drawings; one
     triangle face is pinned as the outer boundary.
     """
@@ -253,7 +261,7 @@ def _layout(drawing: PlanarizationDrawing) -> Dict[int, Tuple[float, float]]:
     if p.n == 2:
         a, b = p.vertices
         return {a: (0.1, 0.5), b: (0.9, 0.5)}
-    emb_t, _ = triangulate(embed(p))
+    emb_t, _ = triangulate(drawing.embedding)
     outer = emb_t.faces[0].boundary
     verts = list(emb_t.graph.vertices)
     pos = {}

@@ -27,6 +27,8 @@ GOLDEN = [
     ("draw petersen", 0, "c33587c9332b7684a93b2cc3d9e040547abf5d2606e97f7d78af59cc1419945d"),
     ("draw bipartite:3:4", 0, "8252831b98cbb3411aea1c36e5c1b13847c584c45e4b9417337b734c5ece2aea"),
     ("draw maximal-planar:50 --seed 1", 0, "82d46b3d69e27b265769711e603923dcec0ea4291019bcb3dfdad2a49f4d3d5f"),
+    # each later route is computed in the embedding the earlier ones were spliced into
+    ("draw planar-plus:12:3 --seed 7", 0, "18a8723710f0d8afd76149340286bf37dbd40f3f2c6689d7194a743da8b97fc7"),
 ]
 
 
@@ -42,6 +44,7 @@ SVG_GOLDEN = [
     ("draw bipartite:3:4", "da585353eeb35e0c5769da5357c33f74a014371915c55656dc97af2b30a72a38"),
     ("draw complete:6", "7adef544c2d993f92d9c50569fad1995fc355506d253ab85551b2b2d7eb53b06"),
     ("draw maximal-planar:50 --seed 1", "9a6674a9337c8bf1a6c4611ef4db1dbc8b77b4625027c09d4db4ea8c10a217cd"),
+    ("draw planar-plus:12:3 --seed 7", "c8abb2d70651d8b9b0694c04768dd78166a70be1933c26cdf6eb7d66cdddebf2"),
 ]
 
 

@@ -12,7 +12,7 @@ from crossbound.generators import (
     random_maximal_planar,
     random_planar_min_degree3,
 )
-from crossbound.graph import Graph, delete_edge
+from crossbound.graph import Graph, delete_edge, norm_edge
 from crossbound.oracle import crossing_number
 from crossbound.router import (
     build_drawing,
@@ -20,7 +20,7 @@ from crossbound.router import (
     render,
     strip_routes,
 )
-from crossbound.skewness import skewness_exact
+from crossbound.skewness import SkewnessCertificate, skewness_exact
 
 
 def _route_is_consistent(emb, route):
@@ -125,16 +125,43 @@ def test_build_drawing_k6(k6):
     assert is_planar(drawing.planarization)
 
 
-def test_build_drawing_counts_agree_with_records():
-    rng = random.Random(62)
-    for _ in range(12):
+def _planar_plus_inputs(seed, count):
+    """Maximal planar bases plus random edges, with exact certificates."""
+    rng = random.Random(seed)
+    for _ in range(count):
         g, _ = planar_plus(rng.randint(7, 12), rng.randint(0, 3), rng)
-        drawing = build_drawing(g, skewness_exact(g))
+        yield g, skewness_exact(g)
+
+
+def _sparse_inputs(seed, count):
+    """Tree and sparse planar bases, with bridges, cut vertices and long
+    faces, plus random non-edges that form the removal set."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(7, 20)
+        if i % 2:
+            base = random_planar_min_degree3(n, rng, deletions=rng.randint(1, 12))
+        else:
+            base = Graph.from_networkx(nx.random_labeled_tree(n, seed=rng.randrange(10**6)))
+        non_edges = [
+            (u, v) for u in base.vertices for v in base.vertices
+            if u < v and not base.has_edge(u, v)
+        ]
+        extra = rng.sample(non_edges, min(len(non_edges), rng.randint(1, 4)))
+        cert = SkewnessCertificate(len(extra), frozenset(extra), exact=False)
+        yield Graph(base.vertices, base.edges() + tuple(extra)), cert
+
+
+def test_build_drawing_counts_agree_with_records():
+    inputs = [*_planar_plus_inputs(62, 12), *_sparse_inputs(64, 40)]
+    for g, cert in inputs:
+        drawing = build_drawing(g, cert)
         assert drawing.crossing_count == sum(len(r) for r in drawing.crossings)
         assert drawing.crossing_count == len(drawing.dummy_map)
         assert drawing.crossing_count == sum(len(r.crossed) for r in drawing.routes)
         assert drawing.bound_met
         assert is_planar(drawing.planarization)
+        assert drawing.embedding.graph == drawing.planarization
         # each crossing adds one dummy vertex and splits two edges (net +2)
         k = drawing.crossing_count
         assert drawing.planarization.n == g.n + k
@@ -148,11 +175,61 @@ def test_build_drawing_counts_agree_with_records():
 
 
 def test_strip_routes_roundtrip():
-    rng = random.Random(63)
-    for _ in range(12):
-        g, _ = planar_plus(rng.randint(7, 12), rng.randint(0, 3), rng)
-        drawing = build_drawing(g, skewness_exact(g))
+    inputs = [*_planar_plus_inputs(63, 12), *_sparse_inputs(65, 40)]
+    for g, cert in inputs:
+        drawing = build_drawing(g, cert)
         assert strip_routes(drawing) == drawing.base.graph
+
+
+def test_every_dummy_is_a_crossing(k5, k6, petersen):
+    """Around each dummy the rotation alternates between the two chains
+    that meet there, so they cross instead of touching."""
+    rng = random.Random(66)
+    named = [k5, k6, Graph.from_networkx(nx.complete_bipartite_graph(3, 4)), petersen]
+    inputs = [(g, skewness_exact(g)) for g in named]
+    for n in range(7, 15):
+        for t in range(1, 4):
+            g, _ = planar_plus(n, t, rng)
+            inputs.append((g, skewness_exact(g)))
+    inputs += _sparse_inputs(67, 60)
+    dummies = 0
+    for g, cert in inputs:
+        drawing = build_drawing(g, cert)
+        chain_of = {
+            norm_edge(u, w): key
+            for key, chain in drawing.chains.items()
+            for u, w in zip(chain, chain[1:])
+        }
+        for dv, (rkey, okey) in drawing.dummy_map.items():
+            around = [chain_of[norm_edge(dv, w)] for w in drawing.embedding.rotation[dv]]
+            assert around in ([rkey, okey] * 2, [okey, rkey] * 2)
+            dummies += 1
+    assert dummies >= 100
+
+
+def test_one_embedding_per_drawing(monkeypatch, k6, petersen):
+    """Only the base is embedded by networkx: every route is spliced into
+    that embedding, and the SVG is laid out in the result, with no
+    planarity re-test of the planarization."""
+    import crossbound.router as router
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    pp, _ = planar_plus(12, 3, random.Random(7))
+    for g in (pp, k6, petersen):
+        cert = skewness_exact(g)
+        calls.update(embed=0, check_planarity=0)
+        with monkeypatch.context() as m:
+            m.setattr(router, "embed", counted("embed", router.embed))
+            m.setattr(nx, "check_planarity", counted("check_planarity", nx.check_planarity))
+            render(build_drawing(g, cert), "svg")
+        assert calls == {"embed": 1, "check_planarity": 1}
 
 
 def test_render_json_shape_and_determinism(k6):
