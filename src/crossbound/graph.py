@@ -8,6 +8,8 @@ workers.
 
 from __future__ import annotations
 
+import math
+import re
 from typing import Dict, Iterable, List, Tuple
 
 import networkx as nx
@@ -205,12 +207,7 @@ def parse_graph(text: bytes, fmt: str) -> Graph:
         data = text.strip()
         if data.startswith(b">>graph6<<"):
             data = data[len(b">>graph6<<"):]
-        try:
-            n, units = data_to_n([c - 63 for c in data])
-            check_graph_size("graph6 input", n, sum(bin(c).count("1") for c in units))
-            return Graph.from_networkx(nx.from_graph6_bytes(data))
-        except (nx.NetworkXError, ValueError, IndexError) as exc:
-            raise GraphFormatError(f"bad graph6 input: {exc}") from exc
+        return _parse_graph6(data)
     if fmt == "edgelist":
         edges = []
         seen = set()
@@ -243,6 +240,33 @@ def parse_graph(text: bytes, fmt: str) -> Graph:
         check_graph_size("edge list", max_v + 1, len(edges))
         return Graph(range(max_v + 1), edges)
     raise GraphFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
+
+
+def _parse_graph6(data: bytes) -> Graph:
+    """Decode a graph6 body by reading its set bits, as serialize_graph sets
+    them: bit k = v(v-1)/2 + u of the upper triangle is edge u < v. Bits past
+    the triangle (the last unit's padding) are ignored."""
+    if not re.fullmatch(rb"[?-~]+", data):  # bytes 63..126
+        raise GraphFormatError("bad graph6 input: empty, or a byte outside 63..126")
+    units = data.translate(bytes(63) + bytes(range(64)) + bytes(129))  # byte c is unit c - 63
+    try:
+        n, body = data_to_n(units)
+    except IndexError as exc:
+        raise GraphFormatError(f"bad graph6 input: {exc}") from exc
+    check_graph_size("graph6 input", n, int.from_bytes(body, "big").bit_count())
+    pairs = n * (n - 1) // 2
+    if len(body) != (pairs + 5) // 6:
+        raise GraphFormatError(f"bad graph6 input: Expected {pairs} bits but got {len(body) * 6} in graph6")
+    edges = []
+    # six bits per unit, most significant first; only non-zero units are read
+    for hit in re.finditer(rb"[^\x00]", body):
+        i = hit.start()
+        for j in range(6):
+            k = 6 * i + j
+            if body[i] & (32 >> j) and k < pairs:
+                v = (1 + math.isqrt(8 * k + 1)) // 2
+                edges.append((k - v * (v - 1) // 2, v))
+    return Graph(range(n), edges)
 
 
 def serialize_graph(g: Graph, fmt: str) -> bytes:

@@ -3,11 +3,15 @@
 A drawing with k crossings is certified combinatorially: choose k unordered
 pairs of independent edges (adjacent edges never cross and no pair crosses
 twice in some optimal drawing, so nothing is lost), fix the order of
-crossings along any edge involved more than once, replace each crossing by
-a degree-4 dummy vertex, and planarity-test the result. The graph has a
-drawing with at most k crossings iff some such configuration planarizes.
+crossings along any edge involved more than once (every order is tried),
+replace each crossing by a degree-4 dummy vertex, and planarity-test the
+result. The graph has a drawing with at most k crossings iff some such
+configuration planarizes.
 
-Exhaustive by design; budgets keep it at desk scale.
+Two proven rules skip only what cannot planarize: the level loop starts at
+the skewness lower bound, and a configuration whose planarization without
+its multiply-crossed edges is non-planar is dropped before any order is
+tried. Exhaustive otherwise; budgets keep it at desk scale.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import networkx as nx
 from .embedding import planar_nx
 from .errors import BudgetExceededError
 from .graph import Edge, Graph, components
+from .skewness import skewness_lower_bound
 
 DEFAULT_MAX_K = 4
 DEFAULT_MAX_EDGES = 20
@@ -76,55 +81,59 @@ def planarize_config(g: Graph, pairs, orders: Dict[Edge, Tuple[Edge, ...]]) -> n
     return gn
 
 
-def _order_choices(partners: List[Edge]):
-    """Crossing orders tried along one edge: of each permutation and its
-    reversal, only the lexicographically smaller one.
+def _combo_witness(g: Graph, combo) -> Optional[CrossingConfig]:
+    """The configuration ``combo`` with the first crossing orders, in
+    permutation order, under which it planarizes g; None if none does.
 
-    This pruning is unproven, and not exact. A chain runs from its edge's
-    low endpoint, so a permutation and its reversal are different
-    drawings. Some configurations planarize only with a dropped order (73
-    of the 310 multi-crossing ones of K5 at level 3), so a level can lose
-    a witness, and cr is over-reported if that level has no other. The
-    oracle tests check that on K5, K3,4 and Petersen at level 2 and on a
-    slice of K6 at level 3 the kept orders planarize a configuration
-    whenever any order does.
+    One order-free test comes first: the multiply-crossed edges, and every
+    pair they are in, are left out. Deleting those edges' chains from the
+    planarization under any order leaves a subdivision of this graph (each
+    single-crossed partner keeps a degree-2 dummy) plus isolated dummies;
+    so if this graph is non-planar, no order works.
     """
-    if len(partners) == 1:
-        return [tuple(partners)]
-    out = []
-    for perm in itertools.permutations(sorted(partners)):
-        if perm <= perm[::-1]:
-            out.append(perm)
-    return out
+    crossings: Dict[Edge, List[Edge]] = {}
+    for e, f in combo:
+        crossings.setdefault(e, []).append(f)
+        crossings.setdefault(f, []).append(e)
+    multi = [e for e, ps in crossings.items() if len(ps) > 1]
+    if multi:
+        rest = [(e, f) for e, f in combo if e not in multi and f not in multi]
+        free = planarize_config(g, rest, {})
+        free.remove_edges_from(multi)
+        if not planar_nx(free):
+            return None
+    order_sets = [itertools.permutations(sorted(crossings[e])) for e in multi]
+    for chosen in itertools.product(*order_sets):
+        orders = dict(zip(multi, chosen))
+        if planar_nx(planarize_config(g, combo, orders)):
+            return CrossingConfig(frozenset(combo), tuple(sorted(orders.items())))
+    return None
 
 
 def _level_witness(g: Graph, pool: List[Pair], k: int) -> Optional[CrossingConfig]:
     """First (lexicographic) k-pair configuration whose planarization is
     planar, or None."""
     for combo in itertools.combinations(pool, k):
-        crossings: Dict[Edge, List[Edge]] = {}
-        for e, f in combo:
-            crossings.setdefault(e, []).append(f)
-            crossings.setdefault(f, []).append(e)
-        multi = [e for e, ps in crossings.items() if len(ps) > 1]
-        order_sets = [_order_choices(crossings[e]) for e in multi]
-        for chosen in itertools.product(*order_sets):
-            orders = dict(zip(multi, chosen))
-            if planar_nx(planarize_config(g, combo, orders)):
-                return CrossingConfig(
-                    frozenset(combo),
-                    tuple(sorted(orders.items())),
-                )
+        wit = _combo_witness(g, combo)
+        if wit is not None:
+            return wit
     return None
 
 
 def _fewest_crossings(g: Graph, top: int, max_edges: int) -> Optional[CrossingConfig]:
     """The level loop: a planarizing configuration of g with the fewest
-    crossings, searched over levels 0..top; None if there is none."""
+    crossings, searched over levels skewness_lower_bound(g)..top; None if
+    there is none.
+
+    No lower level can planarize. Deleting one edge per crossing of a
+    drawing leaves a planar graph, so cr(g) >= sk(g); and sk(g) is at least
+    m - (3n - 6), or m - (2n - 4) for bipartite g, since a (bipartite)
+    planar graph on n >= 3 vertices, connected or not, has no more edges.
+    """
     if g.m > max_edges:
         raise BudgetExceededError(f"|E|={g.m} above budget {max_edges}")
     pool = _independent_pairs(g)
-    for level in range(top + 1):
+    for level in range(skewness_lower_bound(g), top + 1):
         wit = _level_witness(g, pool, level)
         if wit is not None:
             return wit
@@ -137,7 +146,7 @@ def cr_at_most(
     max_k: int = DEFAULT_MAX_K,
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> Tuple[bool, Optional[CrossingConfig]]:
-    """Decide cr(g) <= k by exhausting configurations of 0..k crossings.
+    """Decide cr(g) <= k by exhausting configurations of up to k crossings.
 
     Returns (True, witness) or (False, None). Raises BudgetExceededError
     when k or the edge count is beyond the configured budget.

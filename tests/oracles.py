@@ -3,6 +3,8 @@ package's own algorithms."""
 
 import itertools
 
+import networkx as nx
+
 from crossbound.graph import Graph
 
 
@@ -61,6 +63,24 @@ def independent_is_planar(g: Graph) -> bool:
     if g.n < 5:
         return True
     return not has_kuratowski_subdivision(g)
+
+
+def some_order_planarizes(g: Graph, combo) -> bool:
+    """Reference for the crossing-number oracle: whether some crossing order
+    along every edge makes the planarization of the pairs in ``combo``
+    planar. Every permutation of every edge's partners is tried, each
+    planarization built from scratch with its own dummy vertices."""
+    dummy = {frozenset(p): ("x", i) for i, p in enumerate(combo)}
+    partners = {e: [f for p in combo if e in p for f in p if f != e] for e in g.edges()}
+    choices = [list(itertools.permutations(ps)) for ps in partners.values()]
+    for chosen in itertools.product(*choices):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        for e, seq in zip(partners, chosen):
+            nx.add_path(h, [e[0]] + [dummy[frozenset((e, f))] for f in seq] + [e[1]])
+        if nx.check_planarity(h)[0]:
+            return True
+    return False
 
 
 def chord_by_chord_triangulate(emb):

@@ -1,5 +1,6 @@
-"""Byte-identity of cheap CLI invocations: exit code and sha256 of stdout,
-and of the ``--svg`` picture for a few drawings.
+"""Byte-identity of cheap CLI invocations: exit code and sha256 of the
+output (stdout, then stderr, as a terminal shows them), and of the
+``--svg`` picture for a few drawings.
 
 The hashes pin the exact output of the commands below, so a refactor that
 should change nothing observable is checked to change nothing. Update a
@@ -29,6 +30,15 @@ GOLDEN = [
     ("draw maximal-planar:50 --seed 1", 0, "82d46b3d69e27b265769711e603923dcec0ea4291019bcb3dfdad2a49f4d3d5f"),
     # each later route is computed in the embedding the earlier ones were spliced into
     ("draw planar-plus:12:3 --seed 7", 0, "18a8723710f0d8afd76149340286bf37dbd40f3f2c6689d7194a743da8b97fc7"),
+    # answers that need configurations crossing one edge more than once
+    ("oracle complete:6", 0, "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
+    ("oracle bipartite:3:4", 0, "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("critical complete:6 --k 3", 0, "ddb2247d4a2062343adf482e0a4ce4870f36068c125f4c7883c2d4fa3b766bfa"),
+    ("critical petersen --k 2", 0, "d48fa8652f94b31b71b2b6d9fdfdd5c84e40d32dddf30b79eabdc6cc4a1d5ca7"),
+    ("critical bipartite:3:4 --k 2", 0, "d02c91c62d164253240a2aec952496f488e71a15248dd0b441db41f7320f8be3"),
+    ("critical bipartite:3:5 --k 1 --max-k 1", 0, "ee8da57af7d3cf36f5009eb75766906411cd7e8a7fbbcc59dddce27a2883bf5e"),
+    # the budget error and what it established go to stderr
+    ("oracle complete:6 --max-k 2", 3, "cc981d63f09b579508c3796cdb82aaaf385a3a7b6b18eb53be28a941f091e62a"),
 ]
 
 
@@ -36,7 +46,7 @@ GOLDEN = [
 def test_cli_output_is_pinned(command, exit_code, digest):
     res = CliRunner().invoke(main, command.split())
     assert res.exit_code == exit_code
-    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
 SVG_GOLDEN = [

@@ -52,10 +52,16 @@ def test_edgelist_malformed(bad):
 
 
 def test_graph6_malformed():
-    with pytest.raises(GraphFormatError):
-        parse_graph(b"\x01\x02", "graph6")
-    with pytest.raises(GraphFormatError):
-        parse_graph(b"", "graph6")
+    # wrong body length, bytes outside 63..126, empty or truncated input
+    for bad in (b"\x01\x02", b"", b"D~", b"D~{?", b"D~\x7f", b"D>{", b">?", b"~"):
+        with pytest.raises(GraphFormatError):
+            parse_graph(bad, "graph6")
+
+
+def test_graph6_padding_bits_are_ignored():
+    # like networkx: bits past the upper triangle carry no edge
+    assert parse_graph(b"A~", "graph6") == Graph.from_networkx(nx.from_graph6_bytes(b"A~"))
+    assert parse_graph(b"A~", "graph6").edges() == ((0, 1),)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 62, 63, 64, 65, 100, 200, 300])
@@ -67,7 +73,7 @@ def test_graph6_encoder_matches_networkx_writer(n):
         data = serialize_graph(g, "graph6")
         assert data == nx.to_graph6_bytes(g.to_networkx(), header=False).strip() + b"\n"
         if g.m <= MAX_GRAPH_SIZE:
-            assert parse_graph(data, "graph6") == g
+            assert parse_graph(data, "graph6") == g == Graph.from_networkx(nx.from_graph6_bytes(data))
         else:
             with pytest.raises(GraphFormatError, match="limit"):
                 parse_graph(data, "graph6")

@@ -8,9 +8,11 @@ from crossbound.embedding import planar_nx
 from crossbound.errors import BudgetExceededError
 from crossbound.generators import complete, complete_bipartite, named, planar_plus
 from crossbound.graph import Graph, delete_edge
+from oracles import some_order_planarizes
+from crossbound import oracle
 from crossbound.oracle import (
+    _combo_witness,
     _independent_pairs,
-    _order_choices,
     cr_at_most,
     crossing_number,
     planarize_config,
@@ -129,43 +131,30 @@ def test_reversed_crossing_order_is_a_different_drawing(k6):
         assert planar_nx(h) == planar
 
 
-def _some_order_planarizes(g, combo, multi, order_sets):
-    return any(
-        planar_nx(planarize_config(g, combo, dict(zip(multi, chosen))))
-        for chosen in itertools.product(*order_sets)
-    )
-
-
 @pytest.mark.parametrize(
-    "g, level, stride",
-    [
-        (complete(5), 2, 1),
-        (complete_bipartite(3, 4), 2, 1),
-        (named("petersen"), 2, 1),
-        (complete(6), 3, 8),  # every 8th multi-crossing configuration
-    ],
-    ids=["K5", "K3,4", "petersen", "K6-slice"],
+    "g, stride",
+    [(complete(5), 1), (complete_bipartite(3, 4), 7)],
+    ids=["K5", "K3,4-slice"],
 )
-def test_order_pruning_matches_all_orders(g, level, stride):
-    # _order_choices keeps one of each order and its reversal. At these
-    # levels (up to each graph's cr) the kept orders must planarize a
-    # configuration whenever any order does; at K5 level 3 they do not
-    multi_seen = 0
-    for combo in itertools.combinations(_independent_pairs(g), level):
-        crossings = {}
-        for e, f in combo:
-            crossings.setdefault(e, []).append(f)
-            crossings.setdefault(f, []).append(e)
-        multi = sorted(e for e, ps in crossings.items() if len(ps) > 1)
-        if not multi:
-            continue
-        multi_seen += 1
-        if multi_seen % stride:
-            continue
-        kept = [_order_choices(crossings[e]) for e in multi]
-        full = [list(itertools.permutations(crossings[e])) for e in multi]
-        assert _some_order_planarizes(g, combo, multi, kept) == _some_order_planarizes(
-            g, combo, multi, full
-        ), combo
-    assert multi_seen > 0
+def test_combo_witness_matches_all_orders(g, stride):
+    # at level 3, keeping only one of each order and its reversal loses
+    # witnesses (73 of K5's multi-crossing configurations, 450 of K3,4's);
+    # every multi-crossing configuration also meets the order-free test
+    combos = list(itertools.combinations(_independent_pairs(g), 3))[::stride]
+    for combo in combos:
+        assert (_combo_witness(g, combo) is not None) == some_order_planarizes(g, combo), combo
 
+
+def test_levels_below_the_lower_bound_are_skipped(monkeypatch, k6):
+    calls = []
+
+    def counted(gn):
+        calls.append(gn)
+        return planar_nx(gn)
+
+    monkeypatch.setattr(oracle, "planar_nx", counted)
+    assert cr_at_most(k6, 2) == (False, None)  # skewness_lower_bound(K6) = 3
+    with pytest.raises(BudgetExceededError) as exc:
+        crossing_number(complete_bipartite(3, 5), max_k=2)  # bound 15 - 12 = 3
+    assert exc.value.established == "cr > 2"
+    assert calls == []

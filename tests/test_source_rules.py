@@ -29,3 +29,9 @@ def test_graph6_writer_is_not_networkx():
     # networkx's writer walks all n(n-1)/2 vertex pairs in Python
     found = [path.name for path in SOURCES if "to_graph6_bytes" in path.read_text()]
     assert SOURCES and not found, found
+
+
+def test_graph6_reader_is_not_networkx():
+    # so does networkx's reader; parse_graph reads the set bits directly
+    found = [path.name for path in SOURCES if "from_graph6_bytes" in path.read_text()]
+    assert SOURCES and not found, found
