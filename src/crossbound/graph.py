@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 from networkx.readwrite.graph6 import data_to_n, n_to_data
@@ -148,6 +148,91 @@ def contract_edges(g: Graph, contract: Iterable[Edge]) -> Tuple[Graph, Dict[int,
         if mapping[u] != mapping[v]
     }
     return Graph(set(mapping.values()), edges), mapping
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Whether g has a proper two-colouring, component by component."""
+    colour: Dict[int, int] = {}
+    for root in g.vertices:
+        if root in colour:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                if w not in colour:
+                    colour[w] = 1 - colour[v]
+                    stack.append(w)
+                elif colour[w] == colour[v]:
+                    return False
+    return True
+
+
+# Most automorphisms listed by automorphisms(); K4,4 has 1152.
+MAX_AUTOMORPHISMS = 2000
+
+
+def automorphisms(g: Graph) -> List[Dict[int, int]]:
+    """Automorphisms of g, the identity first, at most MAX_AUTOMORPHISMS.
+
+    Each maps every vertex that has an edge; isolated vertices are left
+    out, so they cost nothing (each may be taken as fixed). Backtracking
+    over a breadth-first vertex order: a candidate image has the vertex's
+    degree, is adjacent to the image of its breadth-first parent, and
+    agrees with adjacency to every vertex already mapped. A complete map
+    that agrees everywhere is an automorphism, and the search misses none.
+    """
+    order: List[int] = []
+    parent: Dict[int, Optional[int]] = {}
+    for root in g.vertices:
+        if root in parent or not g.degree(root):
+            continue
+        parent[root] = None
+        queue = [root]
+        for v in queue:  # grows while it is read: breadth first
+            for w in g.neighbors(v):
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        order += queue
+    if not order:
+        return [{}]
+    adj = {v: set(g.neighbors(v)) for v in order}
+    everyone = sorted(order)
+    image: Dict[int, int] = {}
+    used: set = set()
+
+    def candidates(v: int):
+        # read when v is reached; the vertices before v keep their images
+        # while the list is used
+        u = parent[v]
+        pool = everyone if u is None else g.neighbors(image[u])
+        mapped = {image[w] for w in adj[v] if w in image}
+        d = len(adj[v])
+        fits = [c for c in pool if c not in used and len(adj[c]) == d and adj[c] & used == mapped]
+        fits.sort(key=lambda c: c != v)  # v first: the identity is found first
+        return iter(fits)
+
+    found: List[Dict[int, int]] = []
+    stack = [candidates(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in image:
+            used.discard(image.pop(v))
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            continue
+        image[v] = c
+        used.add(c)
+        if len(stack) < len(order):
+            stack.append(candidates(order[len(stack)]))
+            continue
+        found.append(dict(image))
+        if len(found) == MAX_AUTOMORPHISMS:
+            break
+    return found
 
 
 def component_roots(vertices: Iterable[int], edges: Iterable[Edge]) -> Dict[int, int]:

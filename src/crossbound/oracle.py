@@ -8,23 +8,27 @@ replace each crossing by a degree-4 dummy vertex, and planarity-test the
 result. The graph has a drawing with at most k crossings iff some such
 configuration planarizes.
 
-Two proven rules skip only what cannot planarize: the level loop starts at
-the skewness lower bound, and a configuration whose planarization without
+Three proven rules skip only what cannot planarize: the level loop starts
+at the skewness lower bound; a configuration whose planarization without
 its multiply-crossed edges is non-planar is dropped before any order is
-tried. Exhaustive otherwise; budgets keep it at desk scale.
+tried; and within a level, once every configuration containing some pairs
+P and q has failed, so has every one containing P and s(q), for each
+automorphism s of the graph that fixes every pair of P. Exhaustive
+otherwise; budgets keep it at desk scale.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
 from .embedding import planar_nx
 from .errors import BudgetExceededError
-from .graph import Edge, Graph, components
+from .graph import Edge, Graph, automorphisms, components, norm_edge
 from .skewness import skewness_lower_bound
 
 DEFAULT_MAX_K = 4
@@ -110,14 +114,66 @@ def _combo_witness(g: Graph, combo) -> Optional[CrossingConfig]:
     return None
 
 
-def _level_witness(g: Graph, pool: List[Pair], k: int) -> Optional[CrossingConfig]:
+def _pool_permutations(g: Graph, pool: List[Pair]) -> List[Tuple[int, ...]]:
+    """The automorphisms of g, the identity first, as permutations of the
+    indices of ``pool``: entry i is the index of the image of pool[i]."""
+    edges = sorted(g.edges())
+    eid = {e: i for i, e in enumerate(edges)}
+    ends = [(eid[e], eid[f]) for e, f in pool]
+    pair_at = [[-1] * len(edges) for _ in edges]  # pair_at[a][b]: index of pair {a, b}
+    for i, (a, b) in enumerate(ends):
+        pair_at[a][b] = pair_at[b][a] = i
+    perms = []
+    for s in automorphisms(g):
+        image = [eid[norm_edge(s[u], s[v])] for u, v in edges]
+        perms.append(tuple([pair_at[image[a]][image[b]] for a, b in ends]))
+    return perms
+
+
+def _level_witness(
+    g: Graph, pool: List[Pair], k: int, symmetries: Callable[[], List[Tuple[int, ...]]]
+) -> Optional[CrossingConfig]:
     """First (lexicographic) k-pair configuration whose planarization is
-    planar, or None."""
-    for combo in itertools.combinations(pool, k):
-        wit = _combo_witness(g, combo)
-        if wit is not None:
-            return wit
-    return None
+    planar, or None.
+
+    The k-subsets of ``pool`` are walked in ``itertools.combinations``
+    order, as a tree over their prefixes; a prefix's dead indices are
+    skipped in its whole subtree. ``symmetries()`` lists automorphisms of g
+    as permutations of pool indices, and is asked only once a configuration
+    has failed. Only k-sets that cannot planarize are skipped, so the first
+    witness is the one the flat loop finds, for any list of automorphisms;
+    the identity alone gives the flat loop.
+
+    The rule: let the subtree of prefix P + (q) be exhausted with no
+    witness. Every k-set S containing P and q then fails: the i-th least
+    element of S is at most the i-th least of P + (q), so S lies in that
+    subtree or before it, and everything before it has failed or was
+    skipped as failing. Let the automorphism s fix every pair of P. A k-set
+    containing P and s(q) is the image under s of one containing P and q,
+    and its planarization (under the image orders) is isomorphic; every
+    order is tried, so it fails too. So s(q) is dead in the rest of P's
+    subtree.
+    """
+
+    def walk(prefix: Tuple[int, ...], dead: set, perms) -> Optional[CrossingConfig]:
+        # perms: the listed automorphisms fixing every index of prefix, or
+        # None until this walk needs them
+        if len(prefix) == k:
+            return _combo_witness(g, [pool[i] for i in prefix])
+        dead = set(dead)
+        for q in range(prefix[-1] + 1 if prefix else 0, len(pool) - k + len(prefix) + 1):
+            if q in dead:
+                continue
+            fixing_q = None if perms is None else [p for p in perms if p[q] == q]
+            wit = walk(prefix + (q,), dead, fixing_q)
+            if wit is not None:
+                return wit
+            if perms is None:
+                perms = [p for p in symmetries() if all(p[i] == i for i in prefix)]
+            dead.update(p[q] for p in perms)
+        return None
+
+    return walk((), set(), None)
 
 
 def _fewest_crossings(g: Graph, top: int, max_edges: int) -> Optional[CrossingConfig]:
@@ -133,8 +189,9 @@ def _fewest_crossings(g: Graph, top: int, max_edges: int) -> Optional[CrossingCo
     if g.m > max_edges:
         raise BudgetExceededError(f"|E|={g.m} above budget {max_edges}")
     pool = _independent_pairs(g)
+    symmetries = functools.cache(lambda: _pool_permutations(g, pool))
     for level in range(skewness_lower_bound(g), top + 1):
-        wit = _level_witness(g, pool, level)
+        wit = _level_witness(g, pool, level, symmetries)
         if wit is not None:
             return wit
     return None

@@ -17,7 +17,7 @@ import networkx as nx
 
 from .embedding import is_planar, planar_nx, witness_nx
 from .errors import CrossboundError
-from .graph import Edge, Graph, delete_edges
+from .graph import Edge, Graph, delete_edges, is_bipartite
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def skewness_lower_bound(g: Graph) -> int:
     if g.n < 3:
         return 0
     lb = g.m - (3 * g.n - 6)
-    if nx.is_bipartite(g.to_networkx()):
+    if is_bipartite(g):
         lb = max(lb, g.m - (2 * g.n - 4))
     return max(0, lb)
 

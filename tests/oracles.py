@@ -83,6 +83,19 @@ def some_order_planarizes(g: Graph, combo) -> bool:
     return False
 
 
+def flat_level_witness(g: Graph, pool, k):
+    """Reference for the oracle's level search: every k-set of ``pool`` in
+    ``itertools.combinations`` order, nothing skipped; the first whose
+    planarization is planar under some crossing order, or None."""
+    from crossbound.oracle import _combo_witness
+
+    for combo in itertools.combinations(pool, k):
+        wit = _combo_witness(g, combo)
+        if wit is not None:
+            return wit
+    return None
+
+
 def chord_by_chord_triangulate(emb):
     """Reference for ``triangulate``: split the first long face of the
     current embedding, rebuild the whole embedding, repeat. Quadratic, but

@@ -1,10 +1,15 @@
 import math
+import random
+import time
 from fractions import Fraction
+
+import networkx as nx
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossbound import bounds
 from crossbound.bounds import (
     SqrtExpr,
     certify_critical_bounds,
@@ -15,7 +20,9 @@ from crossbound.bounds import (
     verify_degree_reciprocal_bounds,
 )
 from crossbound.errors import CrossboundError
-from crossbound.generators import complete_bipartite
+from crossbound.generators import complete, complete_bipartite, named
+from crossbound.graph import Graph, delete_edge, parse_graph
+from crossbound.oracle import cr_at_most
 
 
 def test_skewness_crossing_bound_values():
@@ -160,3 +167,57 @@ def test_certify_k6(k6):
     assert rep.cr == 3
     assert rep.skewness_bound == 8
     assert all(v == "true" for v in rep.satisfied.values())
+
+
+def _asked_edges(monkeypatch, g, k):
+    """The verdict of is_k_crossing_critical(g, k), and the edges e whose
+    g - e it asked cr_at_most about."""
+    asked = []
+
+    def counted(h, k, **kw):
+        if h.m < g.m:
+            asked.append(next(e for e in g.edges() if not h.has_edge(*e)))
+        return cr_at_most(h, k, **kw)
+
+    monkeypatch.setattr(bounds, "cr_at_most", counted)
+    return is_k_crossing_critical(g, k), asked
+
+
+@pytest.mark.parametrize("g, k", [(complete(6), 3), (named("petersen"), 2)], ids=["K6", "petersen"])
+def test_edge_transitive_graphs_ask_one_deletion(monkeypatch, g, k):
+    assert _asked_edges(monkeypatch, g, k) == (True, [min(g.edges())])
+
+
+def test_one_deletion_per_edge_orbit(monkeypatch):
+    # K5 with edge (0, 1) subdivided by 5: orbits {05, 15}, the six edges
+    # from {0, 1} to {2, 3, 4}, and the triangle 234
+    g = Graph(range(6), [e for e in complete(5).edges() if e != (0, 1)] + [(0, 5), (1, 5)])
+    assert _asked_edges(monkeypatch, g, 1) == (True, [(0, 2), (0, 5), (2, 3)])
+
+
+def test_orbit_verdicts_match_asking_every_edge():
+    rng = random.Random(63)
+    graphs = [complete(5), complete_bipartite(3, 3), complete_bipartite(3, 4), named("cube")]
+    for _ in range(30):
+        n = rng.randint(5, 7)
+        h = nx.gnm_random_graph(n, rng.randint(n + 2, n + 6), seed=rng.randrange(10**9))
+        graphs.append(Graph.from_networkx(h))
+    verdicts = set()
+    for g in graphs:
+        for k in (1, 2):
+            every = not cr_at_most(g, k - 1)[0] and all(
+                cr_at_most(delete_edge(g, e), k - 1)[0] for e in g.edges()
+            )
+            assert is_k_crossing_critical(g, k) == every, (g.edges(), k)
+            verdicts.add(every)
+    assert verdicts == {True, False}
+
+
+def test_isolated_vertices_cost_nothing():
+    # K5 on the top five ids of a 2000-vertex edge list
+    text = "".join(f"{u} {v}\n" for u in range(1995, 2000) for v in range(u + 1, 2000))
+    g = parse_graph(text.encode(), "edgelist")
+    assert (g.n, g.m) == (2000, 10)
+    start = time.perf_counter()
+    assert is_k_crossing_critical(g, 1)
+    assert time.perf_counter() - start < 1.0

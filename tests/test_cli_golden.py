@@ -33,6 +33,7 @@ GOLDEN = [
     # answers that need configurations crossing one edge more than once
     ("oracle complete:6", 0, "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
     ("oracle bipartite:3:4", 0, "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("oracle bipartite:4:4", 0, "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
     ("critical complete:6 --k 3", 0, "ddb2247d4a2062343adf482e0a4ce4870f36068c125f4c7883c2d4fa3b766bfa"),
     ("critical petersen --k 2", 0, "d48fa8652f94b31b71b2b6d9fdfdd5c84e40d32dddf30b79eabdc6cc4a1d5ca7"),
     ("critical bipartite:3:4 --k 2", 0, "d02c91c62d164253240a2aec952496f488e71a15248dd0b441db41f7320f8be3"),

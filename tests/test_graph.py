@@ -4,13 +4,18 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from crossbound.errors import DuplicateEdgeError, GraphFormatError, MissingEdgeError
+from crossbound.generators import complete, complete_bipartite, named
 from crossbound.graph import (
+    MAX_AUTOMORPHISMS,
     MAX_GRAPH_SIZE,
     Graph,
+    automorphisms,
     contract_edges,
     delete_edge,
+    is_bipartite,
     min_degree,
     parse_graph,
     serialize_graph,
@@ -176,3 +181,62 @@ def test_graph_equality_and_immutability():
     b = Graph(range(3), [(0, 1)])
     assert a == b and hash(a) == hash(b)
     assert a != Graph(range(3), [(0, 2)])
+
+
+def test_is_bipartite_matches_networkx():
+    rng = random.Random(61)
+    graphs = [Graph(), Graph([0]), Graph(range(4), [(0, 1), (2, 3)])]
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        # sparse, so many are disconnected forests and have isolated vertices
+        h = nx.gnm_random_graph(n, rng.randint(0, 2 * n), seed=rng.randrange(10**9))
+        graphs.append(Graph.from_networkx(h))
+    graphs.append(Graph.from_networkx(nx.disjoint_union(nx.cycle_graph(6), nx.cycle_graph(5))))
+    assert any(is_bipartite(g) for g in graphs) and not all(is_bipartite(g) for g in graphs)
+    for g in graphs:
+        assert is_bipartite(g) == nx.is_bipartite(g.to_networkx()), g.edges()
+
+
+def _matcher_automorphisms(g: Graph):
+    """Automorphisms from networkx that fix every isolated vertex, restricted
+    to the vertices that have an edge."""
+    h = g.to_networkx()
+    isolated = {v for v in g.vertices if not g.degree(v)}
+    return {
+        tuple(sorted((v, w) for v, w in m.items() if v not in isolated))
+        for m in GraphMatcher(h, h).isomorphisms_iter()
+        if all(m[v] == v for v in isolated)
+    }
+
+
+def test_automorphisms_match_graph_matcher():
+    graphs = [
+        complete(4), complete(5), complete_bipartite(3, 3), complete_bipartite(3, 4),
+        named("petersen"), named("cube"), Graph(range(6), [(i, (i + 1) % 6) for i in range(6)]),
+        Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)]), complete_bipartite(1, 4),
+        # disconnected: components of one shape are swapped, of two shapes not
+        Graph.from_networkx(nx.disjoint_union(nx.complete_graph(3), nx.complete_graph(3))),
+        Graph.from_networkx(nx.disjoint_union(nx.complete_graph(4), nx.complete_bipartite_graph(3, 3))),
+        Graph(range(6), [(1, 2), (2, 4), (1, 4)]), Graph(range(3)), Graph(),
+    ]
+    rng = random.Random(62)
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        h = nx.gnm_random_graph(n, rng.randint(n - 2, 2 * n), seed=rng.randrange(10**9))
+        graphs.append(Graph.from_networkx(h))
+    for g in graphs:
+        found = automorphisms(g)
+        assert found[0] == {v: v for v in g.vertices if g.degree(v)}  # the identity first
+        listed = [tuple(sorted(s.items())) for s in found]
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == _matcher_automorphisms(g), g.edges()
+
+
+def test_automorphisms_stop_at_the_cap():
+    g = complete_bipartite(2, 10)  # 2 * 10! automorphisms
+    found = automorphisms(g)
+    assert len(found) == MAX_AUTOMORPHISMS
+    assert len({tuple(sorted(s.items())) for s in found}) == MAX_AUTOMORPHISMS
+    edges = set(g.edges())
+    for s in found:
+        assert {tuple(sorted((s[u], s[v]))) for u, v in edges} == edges

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -8,11 +9,13 @@ from crossbound.embedding import planar_nx
 from crossbound.errors import BudgetExceededError
 from crossbound.generators import complete, complete_bipartite, named, planar_plus
 from crossbound.graph import Graph, delete_edge
-from oracles import some_order_planarizes
-from crossbound import oracle
+from oracles import flat_level_witness, some_order_planarizes
+from crossbound import graph, oracle
 from crossbound.oracle import (
     _combo_witness,
     _independent_pairs,
+    _level_witness,
+    _pool_permutations,
     cr_at_most,
     crossing_number,
     planarize_config,
@@ -27,6 +30,10 @@ def test_ground_truths(k4, k5, k6, k33, petersen):
     assert crossing_number(petersen) == 2
     assert crossing_number(complete_bipartite(3, 4)) == 2
     assert crossing_number(complete_bipartite(2, 5)) == 0  # planar
+
+
+def test_k44():
+    assert crossing_number(complete_bipartite(4, 4)) == 4
 
 
 def test_planar_graphs_are_zero():
@@ -158,3 +165,54 @@ def test_levels_below_the_lower_bound_are_skipped(monkeypatch, k6):
         crossing_number(complete_bipartite(3, 5), max_k=2)  # bound 15 - 12 = 3
     assert exc.value.established == "cr > 2"
     assert calls == []
+
+
+def _level_cases():
+    """Named symmetric graphs and 40 random connected non-planar graphs on
+    7-8 vertices, each with the flat loop's answer at every level from 0 up
+    to the first level that has a witness."""
+    graphs = [complete(5), complete(6), complete_bipartite(3, 3), complete_bipartite(3, 4),
+              named("petersen"), named("cube")]
+    rng = random.Random(53)
+    while len(graphs) < 46:
+        n = rng.randint(7, 8)
+        h = nx.gnm_random_graph(n, rng.randint(n + 5, n + 8), seed=rng.randrange(10**9))
+        if nx.is_connected(h) and not planar_nx(h):
+            graphs.append(Graph.from_networkx(h))
+    cases = []
+    for g in graphs:
+        pool = _independent_pairs(g)
+        expected = [None]
+        while expected[-1] is None:
+            expected.append(flat_level_witness(g, pool, len(expected) - 1))
+        cases.append((g, pool, expected[1:]))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def level_cases():
+    return _level_cases()
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 7])
+def test_pruned_levels_match_the_flat_loop(monkeypatch, level_cases, cap):
+    # the rule is sound for any list of automorphisms: cut to its first
+    # entries (the identity alone is the flat loop), the walk skips less
+    # but finds the same configuration
+    if cap is not None:
+        monkeypatch.setattr(graph, "MAX_AUTOMORPHISMS", cap)
+    for g, pool, expected in level_cases:
+        symmetries = functools.cache(lambda: _pool_permutations(g, pool))
+        for level, wit in enumerate(expected):
+            assert _level_witness(g, pool, level, symmetries) == wit, (g.edges(), level)
+
+
+def test_symmetries_are_asked_only_after_a_failure(monkeypatch, k5):
+    asked = []
+    monkeypatch.setattr(oracle, "automorphisms", lambda g: asked.append(g) or [])
+    assert crossing_number(complete_bipartite(2, 5)) == 0  # planar: level 0 hits
+    assert crossing_number(k5) == 1  # the first level-1 configuration hits
+    assert asked == []
+    with pytest.raises(BudgetExceededError):
+        crossing_number(complete(7))  # over the edge budget
+    assert asked == []
