@@ -15,7 +15,6 @@ from .bounds import (
     verify_degree_reciprocal_bounds,
 )
 from .embedding import (
-    DualGraph,
     FaceRecord,
     RotationEmbedding,
     dual,
@@ -32,6 +31,7 @@ from .errors import (
     MissingEdgeError,
     NonPlanarError,
     NotACycleError,
+    NotCriticalError,
 )
 from .graph import (
     Graph,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
-from .errors import CrossboundError
+from .errors import CrossboundError, NotCriticalError
 from .graph import Graph, automorphisms, delete_edge, min_degree, norm_edge
 from .lightcycle import CycleWitness, light_cycle_general
 from .oracle import cr_at_most, crossing_number, DEFAULT_MAX_EDGES, DEFAULT_MAX_K
@@ -158,7 +158,7 @@ def is_k_crossing_critical(
         return False
     symmetries = automorphisms(g)
     covered = set()
-    for e in sorted(g.edges()):
+    for e in g.edges():
         if e in covered:
             continue
         covered.update(norm_edge(s[e[0]], s[e[1]]) for s in symmetries)
@@ -173,20 +173,14 @@ class BoundReport:
 
     n: int
     delta: int
-    k: Optional[int]
-    cr: Optional[int]
+    k: int
+    cr: int
     sk_certificate: SkewnessCertificate
-    mu_witness: CycleWitness
+    mu_witness: Optional[CycleWitness]  # None, like the bounds on it, below degree 3
     skewness_bound: Fraction
     cycle_bound: Optional[Fraction]
     degree_bound: Optional[BoundValue]
     satisfied: Dict[str, str]
-
-
-def _verdict(cr: Optional[int], bound) -> str:
-    if cr is None:
-        return "unknown"
-    return "true" if bound >= cr else "false"
 
 
 def certify_critical_bounds(
@@ -194,24 +188,23 @@ def certify_critical_bounds(
     k: int,
     max_k: int = DEFAULT_MAX_K,
     max_edges: int = DEFAULT_MAX_EDGES,
-    check_critical: bool = True,
 ) -> BoundReport:
     """Evaluate all bounds for a k-crossing-critical graph and record, per
-    bound, whether the exact crossing number respects it."""
-    if check_critical and not is_k_crossing_critical(g, k, max_k=max_k, max_edges=max_edges):
-        raise CrossboundError(f"graph is not {k}-crossing-critical")
+    bound, whether the exact crossing number respects it.
+
+    Raises NotCriticalError if g is not k-crossing-critical."""
+    if not is_k_crossing_critical(g, k, max_k=max_k, max_edges=max_edges):
+        raise NotCriticalError(f"graph is not {k}-crossing-critical")
     delta = min_degree(g)
     cr = crossing_number(g, max_k=max_k, max_edges=max_edges)
     cert = skewness_exact(g)
-    wit = light_cycle_general(g, cert.removed)
+    wit = light_cycle_general(g, cert.removed) if delta >= 3 else None
     sk_bound = skewness_crossing_bound(g.n, cert.value)
     cyc_bound = critical_cycle_bound(k, delta, wit.mu, cert.value) if delta >= 3 else None
     deg_bound = critical_degree_bound(k, delta, g.n) if delta >= 3 else None
-    satisfied = {"skewness_bound": _verdict(cr, sk_bound)}
-    if cyc_bound is not None:
-        satisfied["cycle_bound"] = _verdict(cr, cyc_bound)
-    if deg_bound is not None:
-        satisfied["degree_bound"] = _verdict(cr, deg_bound)
+    bounds = {"skewness_bound": sk_bound, "cycle_bound": cyc_bound, "degree_bound": deg_bound}
+    satisfied = {name: "true" if b >= cr else "false"
+                 for name, b in bounds.items() if b is not None}
     return BoundReport(
         n=g.n,
         delta=delta,

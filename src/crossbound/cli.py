@@ -19,17 +19,17 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import click
 
 from . import __version__
 from .bounds import (
     certify_critical_bounds,
-    is_k_crossing_critical,
     skewness_crossing_bound,
     verify_degree_reciprocal_bounds,
 )
-from .errors import BudgetExceededError, CrossboundError
+from .errors import BudgetExceededError, CrossboundError, NotCriticalError
 from .graph import Graph, check_graph_size, min_degree, parse_graph, serialize_graph
 from .lightcycle import light_cycle_general
 from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_K, crossing_number
@@ -38,14 +38,22 @@ from .skewness import skewness_exact
 from . import generators
 
 
-# (vertices, edges) implied by each sized family spec, checked against
-# MAX_GRAPH_SIZE before anything is generated
-_SPEC_SIZE = {
-    ("complete", 1): lambda n: (n, n * (n - 1) // 2),
-    ("bipartite", 2): lambda a, b: (a + b, a * b),
-    ("maximal-planar", 1): lambda n: (n, 3 * n - 6),
-    ("planar-plus", 2): lambda n, t: (n, 3 * n - 6 + t),
+# (family, number of sizes) -> (the (vertices, edges) the spec implies,
+# checked against MAX_GRAPH_SIZE before anything is generated; the maker,
+# called with the sizes and a seeded Random)
+_FAMILIES = {
+    ("complete", 1): (lambda n: (n, n * (n - 1) // 2),
+                      lambda n, rng: generators.complete(n)),
+    ("bipartite", 2): (lambda a, b: (a + b, a * b),
+                       lambda a, b, rng: generators.complete_bipartite(a, b)),
+    ("maximal-planar", 1): (lambda n: (n, 3 * n - 6),
+                            lambda n, rng: generators.random_maximal_planar(n, rng)),
+    ("planar-plus", 2): (lambda n, t: (n, 3 * n - 6 + t),
+                         lambda n, t, rng: generators.planar_plus(n, t, rng)[0]),
 }
+# the named graphs are small: none comes near the limit
+_FAMILIES.update({(name, 0): (lambda: (0, 0), lambda rng, name=name: generators.named(name))
+                  for name in generators.NAMED})
 
 
 def _resolve_graph(spec: str, fmt: str, seed: int) -> Graph:
@@ -59,23 +67,13 @@ def _resolve_graph(spec: str, fmt: str, seed: int) -> Graph:
         args = [int(x) for x in fields]
     except ValueError:
         raise CrossboundError(f"{spec!r}: sizes in a family spec must be integers") from None
-    size = _SPEC_SIZE.get((family, len(args)))
-    n, m = size(*args) if size else (0, 0)
-    check_graph_size(repr(spec), n, m)
-    rng = random.Random(seed)
-    if family == "complete" and len(args) == 1:
-        return generators.complete(*args)
-    if family == "bipartite" and len(args) == 2:
-        return generators.complete_bipartite(*args)
-    if family == "planar-plus" and len(args) == 2:
-        return generators.planar_plus(*args, rng)[0]
-    if family == "maximal-planar" and len(args) == 1:
-        return generators.random_maximal_planar(*args, rng)
-    if family in generators.NAMED and not args:
-        return generators.named(family)
-    raise CrossboundError(
-        f"{spec!r} is neither a readable file nor a known family spec"
-    )
+    if (family, len(args)) not in _FAMILIES:
+        raise CrossboundError(
+            f"{spec!r} is neither a readable file nor a known family spec"
+        )
+    size, make = _FAMILIES[family, len(args)]
+    check_graph_size(repr(spec), *size(*args))
+    return make(*args, random.Random(seed))
 
 
 def _meta(spec: str, g: Graph, seed: int, **budgets) -> dict:
@@ -97,10 +95,10 @@ def _relabel_edges(g: Graph):
     return tuple((relabel[u], relabel[v]) for u, v in g.edges())
 
 
-def _rat(x) -> str:
+def _rat(x) -> Optional[str]:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    return repr(float(x))
+    return None if x is None else repr(float(x))
 
 
 def _emit(payload: dict, out, pretty: bool):
@@ -245,15 +243,16 @@ def oracle(input_spec, fmt, seed, out, pretty, max_k, max_edges):
 def critical(input_spec, fmt, seed, out, pretty, k, max_k, max_edges):
     """Test k-crossing-criticality and certify every applicable bound."""
     g = _resolve_graph(input_spec, fmt, seed)
-    crit = is_k_crossing_critical(g, k, max_k=max_k, max_edges=max_edges)
     payload = {
         "meta": _meta(input_spec, g, seed, k=k, max_k=max_k, max_edges=max_edges),
         "k": k,
-        "critical": crit,
+        "critical": True,
     }
-    if crit:
-        rep = certify_critical_bounds(g, k, max_k=max_k, max_edges=max_edges,
-                                      check_critical=False)
+    try:
+        rep = certify_critical_bounds(g, k, max_k=max_k, max_edges=max_edges)
+    except NotCriticalError:
+        payload["critical"] = False
+    else:
         payload["cr"] = rep.cr
         payload["bounds"] = {
             "skewness_bound": _rat(rep.skewness_bound),
@@ -280,8 +279,7 @@ def verify_lemma(d_max, out, pretty):
 @click.argument("family", metavar="FAMILY")
 @_seed_opt
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["graph6", "edgelist"]),
-              default="graph6", show_default=True)
+@_fmt_opt
 def generate(family, seed, out, fmt):
     """Emit a generated graph (complete:N, bipartite:A:B, planar-plus:N:T,
     maximal-planar:N, petersen, dodecahedron, icosahedron, cube)."""

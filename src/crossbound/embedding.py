@@ -139,35 +139,22 @@ def embed(g: Graph) -> RotationEmbedding:
     return RotationEmbedding(g, rotation)
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Dual of an embedding: one node per face, one arc per primal edge.
+def dual(emb: RotationEmbedding) -> Dict[int, List[Tuple[int, Edge]]]:
+    """Dual of an embedding as an adjacency: each face maps to the sorted
+    (face, primal edge) pairs across its edges.
 
     Arcs keep their primal edge, so routing in the dual translates back to
-    crossed primal edges. A bridge yields a loop arc.
+    crossed primal edges. A bridge yields a loop arc, listed once.
     """
-
-    num_nodes: int
-    arcs: Tuple[Tuple[int, int, Edge], ...]
-
-    def neighbors(self) -> Dict[int, List[Tuple[int, Edge]]]:
-        out: Dict[int, List[Tuple[int, Edge]]] = {f: [] for f in range(self.num_nodes)}
-        for f1, f2, e in self.arcs:
-            out[f1].append((f2, e))
-            if f1 != f2:
-                out[f2].append((f1, e))
-        for lst in out.values():
-            lst.sort()
-        return out
-
-
-def dual(emb: RotationEmbedding) -> DualGraph:
-    arcs = []
+    out: Dict[int, List[Tuple[int, Edge]]] = {f: [] for f in range(len(emb.faces))}
     for u, v in emb.graph.edges():
-        f1 = emb.face_of(u, v)
-        f2 = emb.face_of(v, u)
-        arcs.append((min(f1, f2), max(f1, f2), (u, v)))
-    return DualGraph(len(emb.faces), tuple(sorted(arcs, key=lambda a: a[2])))
+        f1, f2 = emb.face_of(u, v), emb.face_of(v, u)
+        out[f1].append((f2, (u, v)))
+        if f1 != f2:
+            out[f2].append((f1, (u, v)))
+    for arcs in out.values():
+        arcs.sort()
+    return out
 
 
 def _chord_positions(edges: Collection[Edge], walk: Tuple[int, ...]):

@@ -45,5 +45,9 @@ class BudgetExceededError(CrossboundError):
         self.established = established
 
 
+class NotCriticalError(CrossboundError):
+    """A graph asked to be certified as k-crossing-critical is not."""
+
+
 class InductionFallbackError(CrossboundError):
     """The delete/contract induction left a graph outside its own hypotheses."""

@@ -78,6 +78,8 @@ class Graph:
         return u in self._adj and v in self._adj[u]
 
     def edges(self) -> Tuple[Edge, ...]:
+        """Every edge as (low, high), in lexicographic order: the adjacency
+        is built sorted."""
         return tuple(
             (u, v) for u in self._adj for v in self._adj[u] if u < v
         )
@@ -369,6 +371,6 @@ def serialize_graph(g: Graph, fmt: str) -> bytes:
         units = bytes(n_to_data(n)) + bits
         return units.translate(bytes(range(63, 127)) + bytes(192)) + b"\n"
     if fmt == "edgelist":
-        lines = [f"{u} {v}" for u, v in sorted(g.edges())]
+        lines = [f"{u} {v}" for u, v in g.edges()]
         return ("\n".join(lines) + "\n").encode("ascii") if lines else b""
     raise GraphFormatError(f"unknown format {fmt!r}; expected one of {_FORMATS}")

@@ -52,8 +52,7 @@ class CrossingConfig:
 
 def _independent_pairs(g: Graph) -> List[Pair]:
     pairs = []
-    edges = sorted(g.edges())
-    for e, f in itertools.combinations(edges, 2):
+    for e, f in itertools.combinations(g.edges(), 2):
         if len({e[0], e[1], f[0], f[1]}) == 4:
             pairs.append((e, f))
     return pairs
@@ -117,7 +116,7 @@ def _combo_witness(g: Graph, combo) -> Optional[CrossingConfig]:
 def _pool_permutations(g: Graph, pool: List[Pair]) -> List[Tuple[int, ...]]:
     """The automorphisms of g, the identity first, as permutations of the
     indices of ``pool``: entry i is the index of the image of pool[i]."""
-    edges = sorted(g.edges())
+    edges = g.edges()
     eid = {e: i for i, e in enumerate(edges)}
     ends = [(eid[e], eid[f]) for e, f in pool]
     pair_at = [[-1] * len(edges) for _ in edges]  # pair_at[a][b]: index of pair {a, b}

@@ -49,7 +49,7 @@ class EdgeRoute:
 
 
 def _cheapest_dual_path(
-    dual_graph, sources, sinks
+    nbrs: Dict[int, List[Tuple[int, Edge]]], sources, sinks
 ) -> Tuple[Tuple[int, ...], Tuple[Edge, ...]]:
     """Fewest-arc dual path from any source face to any sink face.
 
@@ -58,7 +58,6 @@ def _cheapest_dual_path(
     lowest-id neighbour one level closer to the sinks, over their lowest
     arc, and the path starts at the lowest-id source of that level.
     """
-    nbrs = dual_graph.neighbors()
     sources = set(sources)
     parent: Dict[int, Optional[Tuple[int, Edge]]] = {f: None for f in sinks}
     level = sorted(parent)
@@ -228,7 +227,7 @@ def strip_routes(drawing: PlanarizationDrawing) -> Graph:
 def _drawing_dict(drawing: PlanarizationDrawing) -> dict:
     return {
         "n": drawing.graph.n,
-        "base_edges": [list(e) for e in sorted(drawing.base.graph.edges())],
+        "base_edges": [list(e) for e in drawing.base.graph.edges()],
         "inserted": [
             {
                 "edge": list(route.edge),
@@ -272,8 +271,7 @@ def _layout(drawing: PlanarizationDrawing) -> Dict[int, Tuple[float, float]]:
     if free:
         fidx = {v: i for i, v in enumerate(free)}
         a = np.zeros((len(free), len(free)))
-        bx = np.zeros(len(free))
-        by = np.zeros(len(free))
+        b = np.zeros((len(free), 2))  # x and y right-hand sides, one solve
         for v in free:
             i = fidx[v]
             deg = emb_t.graph.degree(v)
@@ -282,12 +280,10 @@ def _layout(drawing: PlanarizationDrawing) -> Dict[int, Tuple[float, float]]:
                 if w in fidx:
                     a[i, fidx[w]] -= 1
                 else:
-                    bx[i] += pos[w][0]
-                    by[i] += pos[w][1]
-        xs = np.linalg.solve(a, bx)
-        ys = np.linalg.solve(a, by)
+                    b[i] += pos[w]
+        xy = np.linalg.solve(a, b)
         for v in free:
-            pos[v] = (float(xs[fidx[v]]), float(ys[fidx[v]]))
+            pos[v] = (float(xy[fidx[v], 0]), float(xy[fidx[v], 1]))
     # normalize into the unit box with a margin
     xs = [x for x, _ in pos.values()]
     ys = [y for _, y in pos.values()]

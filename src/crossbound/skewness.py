@@ -114,7 +114,7 @@ def planar_subgraph_heuristic(g: Graph) -> SkewnessCertificate:
     # a DFS from each not yet visited vertex, ascending: a spanning forest
     keep.add_edges_from(nx.dfs_edges(gn))
     removed = []
-    for e in sorted(g.edges()):
+    for e in g.edges():
         if keep.has_edge(*e):
             continue
         keep.add_edge(*e)

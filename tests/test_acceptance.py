@@ -133,7 +133,7 @@ def test_criterion_6_criticality_bounds():
     ok = True
     for g, k in cases:
         ok = ok and is_k_crossing_critical(g, k)
-        rep = certify_critical_bounds(g, k, check_critical=False)
+        rep = certify_critical_bounds(g, k)
         ok = ok and all(v == "true" for v in rep.satisfied.values())
     elapsed = time.monotonic() - start
     _report("criterion-6 criticality and bounds", ok and elapsed < 300.0, f"{elapsed:.2f}s")

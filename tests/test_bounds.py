@@ -19,7 +19,7 @@ from crossbound.bounds import (
     skewness_crossing_bound,
     verify_degree_reciprocal_bounds,
 )
-from crossbound.errors import CrossboundError
+from crossbound.errors import CrossboundError, NotCriticalError
 from crossbound.generators import complete, complete_bipartite, named
 from crossbound.graph import Graph, delete_edge, parse_graph
 from crossbound.oracle import cr_at_most
@@ -157,9 +157,15 @@ def test_certify_k33(k33):
     assert rep.degree_bound == Fraction(5)
 
 
-def test_certify_rejects_non_critical(c4):
-    with pytest.raises(CrossboundError):
+def test_certify_rejects_non_critical(c4, k6):
+    with pytest.raises(NotCriticalError):
         certify_critical_bounds(c4, 1)
+    with pytest.raises(NotCriticalError):
+        certify_critical_bounds(k6, 2)
+    # a verdict, not a budget error: K3,5 - e is non-planar, so the oracle
+    # never has to look past max_k = 1
+    with pytest.raises(NotCriticalError):
+        certify_critical_bounds(complete_bipartite(3, 5), 1, max_k=1)
 
 
 def test_certify_k6(k6):

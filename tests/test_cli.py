@@ -150,6 +150,20 @@ def test_critical_negative(runner):
     assert "satisfied" not in doc
 
 
+def test_critical_min_degree_2(runner, tmp_path):
+    # K5 with edge (0, 1) subdivided by 5 is 1-critical; the light cycle and
+    # the bounds on it need minimum degree 3, so they are null
+    path = tmp_path / "k5sub.txt"
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges + [(0, 5), (1, 5)]))
+    res = runner.invoke(main, ["critical", str(path), "--format", "edgelist", "--k", "1"])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["critical"] is True and doc["cr"] == 1
+    assert doc["bounds"] == {"skewness_bound": "5/3", "cycle_bound": None, "degree_bound": None}
+    assert doc["satisfied"] == {"skewness_bound": "true"}
+
+
 def test_verify_lemma(runner):
     res = runner.invoke(main, ["verify-lemma", "--d-max", "40"])
     assert res.exit_code == 0

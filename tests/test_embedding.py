@@ -138,32 +138,25 @@ def test_rotation_must_permute_each_neighborhood(c4):
 
 def test_dual_k4(k4):
     d = dual(embed(k4))
-    assert d.num_nodes == 4
-    assert len(d.arcs) == 6
-    counts = {}
-    for f1, f2, _ in d.arcs:
-        counts[f1] = counts.get(f1, 0) + 1
-        counts[f2] = counts.get(f2, 0) + 1
-    assert all(c == 3 for c in counts.values())  # dual of K4 is K4
+    assert sorted(d) == [0, 1, 2, 3]
+    assert sum(len(arcs) for arcs in d.values()) == 2 * 6
+    assert all(len(arcs) == 3 for arcs in d.values())  # dual of K4 is K4
+    assert all(arcs == sorted(arcs) for arcs in d.values())
 
 
 def test_dual_c4(c4):
     d = dual(embed(c4))
-    assert d.num_nodes == 2
-    assert len(d.arcs) == 4
-    assert all((f1, f2) == (0, 1) for f1, f2, _ in d.arcs)
+    assert sorted(d) == [0, 1]
+    assert sum(len(arcs) for arcs in d.values()) == 2 * 4
+    assert all(g2 == 1 - f for f, arcs in d.items() for g2, _ in arcs)
 
 
 def test_dual_of_maximal_planar_is_cubic(k5):
     g = Graph(range(5), [e for e in k5.edges() if e != (0, 1)])
     d = dual(embed(g))
-    assert d.num_nodes == 2 * 5 - 4
-    assert len(d.arcs) == 9
-    degs = {}
-    for f1, f2, _ in d.arcs:
-        degs[f1] = degs.get(f1, 0) + 1
-        degs[f2] = degs.get(f2, 0) + 1
-    assert all(v == 3 for v in degs.values())
+    assert len(d) == 2 * 5 - 4
+    assert sum(len(arcs) for arcs in d.values()) == 2 * 9
+    assert all(len(arcs) == 3 for arcs in d.values())
 
 
 def test_triangulate_k4_noop(k4):

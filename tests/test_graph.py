@@ -176,6 +176,15 @@ def test_roundtrip_both_formats(g):
         assert h.edges() == g.edges()
 
 
+def test_edges_come_in_lexicographic_order():
+    rng = random.Random(17)
+    for _ in range(50):
+        ids = rng.sample(range(1000), rng.randint(2, 30))  # ids with gaps
+        pairs = [rng.sample(ids, 2) for _ in range(rng.randint(0, 60))]
+        g = Graph(ids, pairs)
+        assert g.edges() == tuple(sorted({(min(p), max(p)) for p in pairs}))
+
+
 def test_graph_equality_and_immutability():
     a = Graph(range(3), [(0, 1)])
     b = Graph(range(3), [(0, 1)])
