@@ -198,7 +198,8 @@ def certify_critical_bounds(
     delta = min_degree(g)
     cr = crossing_number(g, max_k=max_k, max_edges=max_edges)
     cert = skewness_exact(g)
-    wit = light_cycle_general(g, cert.removed) if delta >= 3 else None
+    wit = (light_cycle_general(g, cert.removed, embedding=cert.embedding)
+           if delta >= 3 else None)
     sk_bound = skewness_crossing_bound(g.n, cert.value)
     cyc_bound = critical_cycle_bound(k, delta, wit.mu, cert.value) if delta >= 3 else None
     deg_bound = critical_degree_bound(k, delta, g.n) if delta >= 3 else None

@@ -167,7 +167,7 @@ def analyze(input_spec, fmt, seed, out, pretty, max_k, sk_budget):
         },
     }
     if g.n and min_degree(g) >= 3:
-        wit = light_cycle_general(g, cert.removed)
+        wit = light_cycle_general(g, cert.removed, embedding=cert.embedding)
         report["light_cycle"] = {
             "cycle": list(wit.cycle),
             "apex": wit.apex,

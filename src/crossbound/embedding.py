@@ -20,8 +20,8 @@ from typing import Collection, Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
-from .errors import GraphFormatError, NonPlanarError
-from .graph import Edge, Graph, norm_edge
+from .errors import CrossboundError, GraphFormatError, NonPlanarError
+from .graph import Edge, Graph, components, norm_edge
 
 
 @dataclass(frozen=True)
@@ -121,22 +121,75 @@ def kuratowski_witness(g: Graph) -> FrozenSet[Edge]:
     return witness
 
 
+def _rotation_nx(gn: nx.Graph) -> Optional[Dict[int, Tuple[int, ...]]]:
+    """Rotation system of a planar networkx graph from one LR planarity
+    test, or None if it is not planar; no witness is built."""
+    ok, emb = nx.check_planarity(gn, counterexample=False)
+    if not ok:
+        return None
+    return {v: tuple(order) for v, order in emb.get_data().items()}
+
+
+def require_connected(g: Graph) -> None:
+    """Raise GraphFormatError unless g is connected with >= 2 vertices, as
+    a single RotationEmbedding needs."""
+    if g.n < 2:
+        raise GraphFormatError("embedding needs at least 2 vertices")
+    if len(components(g)) != 1:
+        raise GraphFormatError("embedding needs a connected graph")
+
+
 def embed(g: Graph) -> RotationEmbedding:
     """Rotation embedding of a connected planar graph with >= 2 vertices.
 
     Raises NonPlanarError (carrying a Kuratowski subdivision witness) for
     non-planar input.
     """
-    if g.n < 2:
-        raise GraphFormatError("embedding needs at least 2 vertices")
+    require_connected(g)
     gn = g.to_networkx()
-    if not nx.is_connected(gn):
-        raise GraphFormatError("embedding needs a connected graph")
-    ok, emb = nx.check_planarity(gn, counterexample=False)
-    if not ok:
+    rotation = _rotation_nx(gn)
+    if rotation is None:
         raise NonPlanarError("graph is not planar", witness=witness_nx(gn))
-    rotation = {v: tuple(order) for v, order in emb.get_data().items()}
     return RotationEmbedding(g, rotation)
+
+
+# One RotationEmbedding per component of a graph that has an edge, in
+# components() order; an isolated vertex needs none.
+Embeddings = Tuple[RotationEmbedding, ...]
+
+
+def embed_components(g: Graph) -> Optional[Embeddings]:
+    """Euler-checked embedding of every component of g with an edge, from
+    one LR test of the whole graph, or None if g is not planar.
+
+    The LR test embeds each component on its own, so each embedding is the
+    one embed would give that component. No witness is built: a non-planar
+    g costs the one test.
+    """
+    rotation = _rotation_nx(g.to_networkx())
+    if rotation is None:
+        return None
+    return tuple(RotationEmbedding(c, rotation) for c in components(g) if c.m)
+
+
+def embedding_of(g: Graph, given: Optional[Embeddings] = None) -> Embeddings:
+    """The embedding of every component of g with an edge, as
+    embed_components gives it.
+
+    ``given`` is returned if it is of exactly those components, in order;
+    each is Euler-checked, so it certifies g planar with no LR test. A
+    given embedding of any other graph raises CrossboundError. With none
+    given, one is built, and a non-planar g raises NonPlanarError carrying
+    a Kuratowski subdivision witness.
+    """
+    if given is not None:
+        if tuple(e.graph for e in given) != tuple(c for c in components(g) if c.m):
+            raise CrossboundError("the embedding given is not one of this graph")
+        return given
+    built = embed_components(g)
+    if built is None:
+        raise NonPlanarError("graph is not planar", witness=witness_nx(g.to_networkx()))
+    return built
 
 
 def dual(emb: RotationEmbedding) -> Dict[int, List[Tuple[int, Edge]]]:

@@ -29,10 +29,11 @@ class Graph:
     """A simple undirected graph: no loops, no parallel edges.
 
     Immutable after construction; equality and hashing are by vertex set
-    and edge set.
+    and edge set. The edge tuple and the hash are computed once, when
+    first asked for.
     """
 
-    __slots__ = ("_adj", "_hash")
+    __slots__ = ("_adj", "_hash", "_edges")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         adj: Dict[int, set] = {int(v): set() for v in vertices}
@@ -50,6 +51,7 @@ class Graph:
             v: tuple(sorted(nbrs)) for v, nbrs in sorted(adj.items())
         }
         self._hash = None
+        self._edges: Optional[Tuple[Edge, ...]] = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -80,9 +82,11 @@ class Graph:
     def edges(self) -> Tuple[Edge, ...]:
         """Every edge as (low, high), in lexicographic order: the adjacency
         is built sorted."""
-        return tuple(
-            (u, v) for u in self._adj for v in self._adj[u] if u < v
-        )
+        if self._edges is None:
+            self._edges = tuple(
+                (u, v) for u in self._adj for v in self._adj[u] if u < v
+            )
+        return self._edges
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
@@ -256,8 +260,11 @@ def component_roots(vertices: Iterable[int], edges: Iterable[Edge]) -> Dict[int,
 
 
 def components(g: Graph) -> List[Graph]:
-    """Connected components of g as graphs, ordered by lowest vertex id."""
+    """Connected components of g as graphs, ordered by lowest vertex id;
+    a connected g is its own one component."""
     roots = component_roots(g.vertices, g.edges())
+    if len(set(roots.values())) == 1:
+        return [g]
     parts: Dict[int, Tuple[list, list]] = {}
     for v, r in roots.items():  # ascending ids: each root is met first
         parts.setdefault(r, ([], []))[0].append(v)

@@ -19,10 +19,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from .embedding import embed, is_planar
+from .embedding import Embeddings, embed_components, embedding_of, is_planar
 from .errors import (BudgetExceededError, CrossboundError, InductionFallbackError,
                      NotACycleError)
-from .graph import (Edge, Graph, components, contract_edges, delete_edge, delete_edges,
+from .graph import (Edge, Graph, contract_edges, delete_edge, delete_edges,
                     min_degree, norm_edge)
 
 
@@ -108,18 +108,22 @@ def brute_force_min_mu(g: Graph, max_len: int) -> CycleWitness:
     return best[1]
 
 
-def light_cycle_planar(g: Graph) -> CycleWitness:
+def light_cycle_planar(g: Graph, embedding: Optional[Embeddings] = None) -> CycleWitness:
     """A cycle with mu <= 10 in a planar graph with minimum degree >= 3.
 
     Found by embedding g and returning the first face whose weight w
     satisfies w - len/2 + 1 > 0; Euler's formula forces such a face to
     exist, to have length <= 5, and (with min degree 3) to be a simple
-    cycle whose mu is at most 10.
+    cycle whose mu is at most 10. ``embedding``, when given, is g's as
+    embed_components gives it, and is searched instead of embedding g
+    again; the cycle returned is checked against g either way. A
+    non-planar g raises NonPlanarError.
     """
     if min_degree(g) < 3:
         raise CrossboundError("light_cycle_planar needs minimum degree >= 3")
-    for comp in components(g):
-        emb = embed(comp)
+    if embedding is None:
+        embedding = embedding_of(g)
+    for emb in embedding:
         for f in emb.faces:
             if f.weight - Fraction(f.length, 2) + 1 > 0:
                 if not f.is_simple_cycle():
@@ -206,10 +210,13 @@ def _lift_cycle(
 
 
 def _induction(
-    g: Graph, e0: List[Edge], trace: Optional[List[ChordEvent]]
+    g: Graph, e0: List[Edge], trace: Optional[List[ChordEvent]],
+    embedding: Optional[Embeddings] = None,
 ) -> CycleWitness:
+    """One delete/contract/lift level; ``embedding``, if known, is that of
+    g - e0, and the last level (e0 empty) searches it."""
     if not e0:
-        return light_cycle_planar(g)
+        return light_cycle_planar(g, embedding)
     t = len(e0)
     e = min(e0)
     rest = [f for f in e0 if f != e]
@@ -235,10 +242,18 @@ def _induction(
     )
     if min_degree(h) < 3:
         raise InductionFallbackError("contraction dropped the minimum degree below 3")
-    if not is_planar(delete_edges(h, e0_h)):
+    # at the last level (e0_h empty) the planarity test builds the
+    # embedding that light_cycle_planar searches
+    h_embedding = None
+    if e0_h:
+        planar = is_planar(delete_edges(h, e0_h))
+    else:
+        h_embedding = embed_components(h)
+        planar = h_embedding is not None
+    if not planar:
         raise InductionFallbackError("contracted graph minus remaining extras is not planar")
 
-    inner = _induction(h, e0_h, trace)
+    inner = _induction(h, e0_h, trace, h_embedding)
     lifted = _lift_cycle(gp, inner.cycle, mapping, {v1, v2})
 
     on_cycle = set(lifted)
@@ -272,9 +287,16 @@ def light_cycle_general(
     g: Graph,
     e0: Iterable[Edge],
     trace: Optional[List[ChordEvent]] = None,
+    embedding: Optional[Embeddings] = None,
 ) -> CycleWitness:
     """A cycle with mu <= t + 10, where removing the t edges in e0 leaves
     g planar and the minimum degree of g is at least 3.
+
+    ``embedding``, if given, is the Euler-checked embedding of g - e0 as
+    embed_components gives it (a skewness certificate's). It must be of
+    exactly g - e0 (CrossboundError if not), and then proves it planar with
+    no LR test; with none given, it is built here, and a non-planar g - e0
+    raises NonPlanarError. With e0 empty, the planar search runs in it.
 
     Runs the delete/contract/lift induction. When an induction step leaves
     the hypotheses (contraction merged parallel edges and dropped a degree
@@ -289,10 +311,9 @@ def light_cycle_general(
             raise CrossboundError(f"{f} is not an edge of the graph")
     if min_degree(g) < 3:
         raise CrossboundError("light_cycle_general needs minimum degree >= 3")
-    if not is_planar(delete_edges(g, e0)):
-        raise CrossboundError("removing e0 must leave a planar graph")
+    embedding = embedding_of(delete_edges(g, e0), embedding)
     try:
-        wit = _induction(g, e0, trace)
+        wit = _induction(g, e0, trace, embedding)
     except InductionFallbackError:
         wit = None
     if wit is not None and wit.mu <= t + 10:

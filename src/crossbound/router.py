@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .bounds import skewness_crossing_bound
-from .embedding import RotationEmbedding, dual, embed, triangulate
+from .embedding import RotationEmbedding, dual, embedding_of, require_connected, triangulate
 from .errors import CrossboundError, MissingEdgeError
-from .graph import Edge, Graph, norm_edge
+from .graph import Edge, Graph, delete_edges, norm_edge
 from .skewness import SkewnessCertificate
 
 # key of an original edge's chain: ("base", edge) or ("route", edge)
@@ -140,14 +140,21 @@ class PlanarizationDrawing:
 def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
     """Insert every removed edge back into the planar base, one at a time,
     each routed in the embedding the earlier ones were spliced into, and
-    count the crossings."""
+    count the crossings.
+
+    The base embedding is the certificate's (``cert.embedding``, through
+    embedding.embedding_of): the one skewness_exact checked, with no
+    further planarity test, or for a hand-built certificate one built here
+    (NonPlanarError, with a witness, if the removal set does not
+    planarize). The base must be connected, with at least 2 vertices."""
     removed = tuple(sorted(norm_edge(u, v) for u, v in cert.removed))
-    base_edges = set(g.edges()) - set(removed)
     for e in removed:
         if not g.has_edge(*e):
             raise MissingEdgeError(f"{e} is not an edge of the graph")
-    base_graph = Graph(g.vertices, base_edges)
-    emb = base_emb = embed(base_graph)  # raises NonPlanarError if cert is bogus
+    base_graph = delete_edges(g, removed)
+    require_connected(base_graph)
+    (base_emb,) = embedding_of(base_graph, cert.embedding)
+    emb = base_emb
 
     chains: Dict[OriginKey, List[int]] = {("base", e): list(e) for e in base_graph.edges()}
     segment: Dict[Edge, OriginKey] = {e: ("base", e) for e in base_graph.edges()}

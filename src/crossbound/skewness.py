@@ -6,16 +6,20 @@ witness subdivision per node is exhaustive. Only nodes that branch build a
 witness; the leaves of the search (depth 0) need a yes/no planarity test
 alone. A greedy planar-subgraph pass provides an upper-bound certificate for
 graphs beyond exact-search scale.
+
+Every certificate carries the Euler-checked embedding of g minus its removal
+set, which is its proof of planarity; the light cycle and the drawing work
+in that embedding rather than testing or embedding the same graph again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
+from dataclasses import dataclass, field
+from typing import FrozenSet, Iterable, List, Optional
 
 import networkx as nx
 
-from .embedding import is_planar, planar_nx, witness_nx
+from .embedding import Embeddings, embed_components, is_planar, planar_nx, witness_nx
 from .errors import CrossboundError
 from .graph import Edge, Graph, delete_edges, is_bipartite
 
@@ -25,23 +29,33 @@ class SkewnessCertificate:
     """A removal set witnessing an upper bound on skewness.
 
     ``exact`` is True only when the search proved no smaller set works.
+    ``embedding`` is the Euler-checked embedding of every component of
+    g - removed (see embedding.embed_components) that proved the set
+    planarizing; it is None on a certificate built by hand. Consumers hand
+    it to embedding.embedding_of with g - removed (light_cycle_general and
+    build_drawing do), which checks a stored one against that graph and
+    builds one for a hand-built certificate.
     """
 
     value: int
     removed: FrozenSet[Edge]
     exact: bool
+    embedding: Optional[Embeddings] = field(default=None, compare=False, repr=False)
 
     def verify(self, g: Graph) -> bool:
         return len(self.removed) == self.value and is_planar(delete_edges(g, self.removed))
 
 
-def _verified(cert: SkewnessCertificate, g: Graph) -> SkewnessCertificate:
-    """cert itself, once an independent planarity test has confirmed it."""
-    if not cert.verify(g):
+def _certified(g: Graph, removed: Iterable[Edge], exact: bool) -> SkewnessCertificate:
+    """The certificate of a removal set, once the embedding of g - removed
+    has been built and Euler-checked, outside the search that found it."""
+    removed = frozenset(removed)
+    embedding = embed_components(delete_edges(g, removed))
+    if embedding is None:
         raise CrossboundError(
-            f"skewness certificate of value {cert.value} fails verification"
+            f"skewness certificate of value {len(removed)} fails verification"
         )
-    return cert
+    return SkewnessCertificate(len(removed), removed, exact, embedding)
 
 
 def skewness_lower_bound(g: Graph) -> int:
@@ -91,17 +105,25 @@ def skewness_exact(g: Graph, budget: Optional[int] = None) -> SkewnessCertificat
     ``budget`` caps the largest removal-set size tried (default: lower
     bound + 4). If the budget is exhausted the greedy heuristic's
     certificate is returned with exact=False.
+
+    The certificate carries the Euler-checked embedding of g - removed,
+    built after the search as its check. Size 0 is decided by building
+    that embedding for g itself, so a planar g takes one LR test in all.
     """
     lb = skewness_lower_bound(g)
     if budget is None:
         budget = lb + 4
     if budget < lb:
         raise CrossboundError(f"budget {budget} below lower bound {lb}")
+    if lb == 0:
+        embedding = embed_components(g)
+        if embedding is not None:
+            return SkewnessCertificate(0, frozenset(), True, embedding)
     gn = g.to_networkx()
-    for size in range(lb, budget + 1):
+    for size in range(max(lb, 1), budget + 1):
         found = _search(gn, size, frozenset())
         if found is not None:
-            return _verified(SkewnessCertificate(len(found), frozenset(found), exact=True), g)
+            return _certified(g, found, exact=True)
     return planar_subgraph_heuristic(g)
 
 
@@ -121,6 +143,4 @@ def planar_subgraph_heuristic(g: Graph) -> SkewnessCertificate:
         if not planar_nx(keep):
             keep.remove_edge(*e)
             removed.append(e)
-    return _verified(
-        SkewnessCertificate(len(removed), frozenset(removed), exact=(len(removed) == 0)), g
-    )
+    return _certified(g, removed, exact=not removed)

@@ -1,5 +1,6 @@
 import json
 
+import networkx as nx
 import pytest
 from click.testing import CliRunner
 
@@ -182,6 +183,35 @@ def test_reruns_are_byte_identical(runner, tmp_path):
     doc = json.loads(res.output)
     assert doc["meta"]["seed"] == 8
     assert doc["meta"]["input_sha256"] != json.loads(a.read_bytes())["meta"]["input_sha256"]
+
+
+def test_planar_input_is_lr_tested_once(runner, monkeypatch):
+    # the skewness certificate's checked embedding serves the light cycle
+    # and the drawing: no second test or embedding of the same graph
+    calls = []
+    check_planarity = nx.check_planarity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check_planarity(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", counted)
+    for command in ("analyze", "draw"):
+        calls.clear()
+        res = runner.invoke(main, [command, "maximal-planar:100"])
+        assert res.exit_code == 0
+        assert len(calls) == 1, command
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_draw_rejects_a_disconnected_base(runner, tmp_path, k):
+    # two disjoint K_k: the base of the drawing has two components
+    path = tmp_path / "two.txt"
+    lines = [f"{u + s} {v + s}" for s in (0, k) for u in range(k) for v in range(u + 1, k)]
+    path.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(main, ["draw", str(path), "--format", "edgelist"])
+    assert res.exit_code == 1
+    assert json.loads(res.stderr) == {"error": "embedding needs a connected graph"}
 
 
 def test_missing_input_is_error(runner):

@@ -8,12 +8,14 @@ from crossbound.embedding import (
     RotationEmbedding,
     dual,
     embed,
+    embed_components,
+    embedding_of,
     is_planar,
     kuratowski_witness,
     triangulate,
 )
 from crossbound import embedding
-from crossbound.errors import GraphFormatError, NonPlanarError
+from crossbound.errors import CrossboundError, GraphFormatError, NonPlanarError
 from crossbound.generators import random_maximal_planar, random_planar_min_degree3
 from crossbound.graph import Graph, min_degree
 
@@ -63,6 +65,31 @@ def test_embed_nonplanar_has_witness(k5):
     assert witness is not None
     sub = Graph(range(5), witness)
     assert not independent_is_planar(sub)
+
+
+def test_embed_components_is_embed_per_component(k4, petersen):
+    # one LR test of the whole graph gives each component the faces a test
+    # of that component alone gives; isolated vertices get no embedding
+    rng = random.Random(5)
+    for _ in range(20):
+        parts = [random_planar_min_degree3(rng.randint(4, 12), rng) for _ in range(3)]
+        edges, shift = [], 0
+        for p in parts:
+            edges += [(u + shift, v + shift) for u, v in p.edges()]
+            shift += p.n + 1  # leaves an isolated vertex between parts
+        g = Graph(range(shift), edges)
+        embs = embed_components(g)
+        assert len(embs) == 3 and embedding_of(g, embs) is embs
+        for emb in embs:
+            assert emb.faces == embed(emb.graph).faces
+    assert embed_components(Graph(range(3))) == ()
+    two = Graph(range(14), list(k4.edges()) + [(u + 4, v + 4) for u, v in petersen.edges()])
+    assert embed_components(two) is None
+    with pytest.raises(NonPlanarError) as exc:
+        embedding_of(two)
+    assert exc.value.witness <= set(two.edges())
+    with pytest.raises(CrossboundError, match="not one of this graph"):
+        embedding_of(petersen, embed_components(k4))
 
 
 def test_kuratowski_witness_is_nonplanar_subgraph(petersen):

@@ -17,6 +17,7 @@ from crossbound.lightcycle import (
     light_cycle_planar,
     mu,
 )
+from crossbound.skewness import skewness_exact
 
 
 def test_mu_k4(k4):
@@ -188,6 +189,31 @@ def test_chord_trace_entries_are_consistent():
         for ev in trace:
             assert ev.chord[0] in ev.lifted_cycle and ev.chord[1] in ev.lifted_cycle
             assert set(ev.returned_cycle) <= set(ev.lifted_cycle)
+
+
+def test_embedding_must_be_of_g_minus_e0(k5):
+    # a given embedding replaces the planarity test only when it is of
+    # exactly g - e0: the certificate's, not one of another graph
+    cert = skewness_exact(k5)
+    (e,) = cert.removed
+    other = next(f for f in k5.edges() if f != e)
+    with pytest.raises(CrossboundError):
+        light_cycle_general(k5, [other], embedding=cert.embedding)
+    ico = named("icosahedron")
+    with pytest.raises(CrossboundError):
+        light_cycle_general(ico, [], embedding=cert.embedding)
+    assert (light_cycle_general(k5, [e], embedding=cert.embedding)
+            == light_cycle_general(k5, [e]))
+
+
+def test_certificate_embedding_gives_the_same_cycle():
+    rng = random.Random(11)
+    graphs = [named("icosahedron"), named("dodecahedron")]
+    graphs += [planar_plus(rng.randint(7, 16), rng.randint(0, 2), rng)[0] for _ in range(20)]
+    for g in graphs:
+        cert = skewness_exact(g)
+        assert (light_cycle_general(g, cert.removed, embedding=cert.embedding)
+                == light_cycle_general(g, cert.removed))
 
 
 def test_fallback_result_is_still_a_witness(k4):

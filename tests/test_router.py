@@ -6,7 +6,8 @@ import networkx as nx
 import pytest
 
 from crossbound.embedding import embed, is_planar
-from crossbound.errors import CrossboundError, MissingEdgeError
+from crossbound.errors import (CrossboundError, GraphFormatError, MissingEdgeError,
+                               NonPlanarError)
 from crossbound.generators import (
     planar_plus,
     random_maximal_planar,
@@ -208,28 +209,46 @@ def test_every_dummy_is_a_crossing(k5, k6, petersen):
 
 
 def test_one_embedding_per_drawing(monkeypatch, k6, petersen):
-    """Only the base is embedded by networkx: every route is spliced into
-    that embedding, and the SVG is laid out in the result, with no
+    """The base embedding is the certificate's: skewness_exact's checked
+    one costs no networkx call, a hand-built certificate's one. Every route
+    is spliced into it, and the SVG is laid out in the result, with no
     planarity re-test of the planarization."""
-    import crossbound.router as router
+    calls = []
 
-    calls = {}
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check_planarity(*args, **kwargs)
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
+    check_planarity = nx.check_planarity
     pp, _ = planar_plus(12, 3, random.Random(7))
     for g in (pp, k6, petersen):
         cert = skewness_exact(g)
-        calls.update(embed=0, check_planarity=0)
-        with monkeypatch.context() as m:
-            m.setattr(router, "embed", counted("embed", router.embed))
-            m.setattr(nx, "check_planarity", counted("check_planarity", nx.check_planarity))
-            render(build_drawing(g, cert), "svg")
-        assert calls == {"embed": 1, "check_planarity": 1}
+        by_hand = SkewnessCertificate(cert.value, cert.removed, cert.exact)
+        for c, expected in ((cert, 0), (by_hand, 1)):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(nx, "check_planarity", counted)
+                render(build_drawing(g, c), "svg")
+            assert len(calls) == expected
+
+
+def test_bogus_certificate_is_rejected(k4, k5, k6):
+    """A hand-built certificate whose removal set does not planarize fails
+    with a Kuratowski witness; a base that is also disconnected fails on
+    its connectivity first; and a certificate's embedding of another graph
+    is refused, not drawn in."""
+    with pytest.raises(NonPlanarError) as exc:
+        build_drawing(k6, SkewnessCertificate(1, frozenset({(0, 1)}), exact=False))
+    witness = exc.value.witness
+    assert witness and witness <= set(k6.edges()) - {(0, 1)}
+    assert not is_planar(Graph(k6.vertices, witness))
+    two_k5 = Graph(range(10), list(k5.edges()) + [(u + 5, v + 5) for u, v in k5.edges()])
+    with pytest.raises(GraphFormatError, match="connected"):
+        build_drawing(two_k5, SkewnessCertificate(0, frozenset(), exact=False))
+    cert = skewness_exact(k5)
+    with pytest.raises(CrossboundError, match="not one of this graph"):
+        build_drawing(k6, cert)
+    assert build_drawing(k4, skewness_exact(k4)).crossing_count == 0
 
 
 def test_render_json_shape_and_determinism(k6):

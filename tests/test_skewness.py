@@ -11,7 +11,6 @@ from crossbound.generators import (complete, complete_bipartite, planar_plus,
                                    random_maximal_planar)
 from crossbound.graph import Graph, delete_edges
 from crossbound.skewness import (
-    SkewnessCertificate,
     planar_subgraph_heuristic,
     skewness_exact,
     skewness_lower_bound,
@@ -113,8 +112,9 @@ def test_heuristic_zero_on_planar(k4, c4):
 
 
 def test_failed_verification_raises(monkeypatch, k5):
-    # an explicit check, not an assert that python -O would strip
-    monkeypatch.setattr(SkewnessCertificate, "verify", lambda self, g: False)
+    # an explicit check, not an assert that python -O would strip: the
+    # embedding of g - removed that every certificate is built with
+    monkeypatch.setattr(skewness, "embed_components", lambda g: None)
     with pytest.raises(CrossboundError):
         skewness_exact(k5)
     with pytest.raises(CrossboundError):

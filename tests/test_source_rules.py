@@ -25,6 +25,12 @@ def test_check_planarity_only_in_embedding():
     assert "embedding.py" in {path.name for path in SOURCES} and not found, found
 
 
+def test_rotation_from_networkx_has_one_owner():
+    # one place turns networkx's embedding into a rotation system
+    found = {path.name: path.read_text().count("get_data(") for path in SOURCES}
+    assert {name: k for name, k in found.items() if k} == {"embedding.py": 1}, found
+
+
 def test_graph6_writer_is_not_networkx():
     # networkx's writer walks all n(n-1)/2 vertex pairs in Python
     found = [path.name for path in SOURCES if "to_graph6_bytes" in path.read_text()]
