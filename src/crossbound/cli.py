@@ -37,6 +37,11 @@ from .router import build_drawing, render
 from .skewness import skewness_exact
 from . import generators
 
+# The SVG layout's dense solve is small; OpenBLAS's default of one thread
+# per CPU can make it many times slower. numpy is first imported when an SVG
+# is laid out, after this line, and a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 
 # (family, number of sizes) -> (the (vertices, edges) the spec implies,
 # checked against MAX_GRAPH_SIZE before anything is generated; the maker,
@@ -176,7 +181,7 @@ def analyze(input_spec, fmt, seed, out, pretty, max_k, sk_budget):
         }
     else:
         report["light_cycle"] = None
-    report["skewness_bound"] = _rat(skewness_crossing_bound(g.n, cert.value))
+    report["skewness_bound"] = _rat(skewness_crossing_bound(g.n, cert.value)) if g.n else None
     try:
         cr = crossing_number(g, max_k=max_k)
         report["cr"] = cr

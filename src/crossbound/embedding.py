@@ -121,15 +121,6 @@ def kuratowski_witness(g: Graph) -> FrozenSet[Edge]:
     return witness
 
 
-def _rotation_nx(gn: nx.Graph) -> Optional[Dict[int, Tuple[int, ...]]]:
-    """Rotation system of a planar networkx graph from one LR planarity
-    test, or None if it is not planar; no witness is built."""
-    ok, emb = nx.check_planarity(gn, counterexample=False)
-    if not ok:
-        return None
-    return {v: tuple(order) for v, order in emb.get_data().items()}
-
-
 def require_connected(g: Graph) -> None:
     """Raise GraphFormatError unless g is connected with >= 2 vertices, as
     a single RotationEmbedding needs."""
@@ -137,20 +128,6 @@ def require_connected(g: Graph) -> None:
         raise GraphFormatError("embedding needs at least 2 vertices")
     if len(components(g)) != 1:
         raise GraphFormatError("embedding needs a connected graph")
-
-
-def embed(g: Graph) -> RotationEmbedding:
-    """Rotation embedding of a connected planar graph with >= 2 vertices.
-
-    Raises NonPlanarError (carrying a Kuratowski subdivision witness) for
-    non-planar input.
-    """
-    require_connected(g)
-    gn = g.to_networkx()
-    rotation = _rotation_nx(gn)
-    if rotation is None:
-        raise NonPlanarError("graph is not planar", witness=witness_nx(gn))
-    return RotationEmbedding(g, rotation)
 
 
 # One RotationEmbedding per component of a graph that has an edge, in
@@ -162,13 +139,14 @@ def embed_components(g: Graph) -> Optional[Embeddings]:
     """Euler-checked embedding of every component of g with an edge, from
     one LR test of the whole graph, or None if g is not planar.
 
-    The LR test embeds each component on its own, so each embedding is the
-    one embed would give that component. No witness is built: a non-planar
-    g costs the one test.
+    The one place an LR test becomes a rotation system: it embeds each
+    component on its own, as embed would. No witness is built, so a
+    non-planar g costs the one test.
     """
-    rotation = _rotation_nx(g.to_networkx())
-    if rotation is None:
+    ok, emb = nx.check_planarity(g.to_networkx(), counterexample=False)
+    if not ok:
         return None
+    rotation = emb.get_data()
     return tuple(RotationEmbedding(c, rotation) for c in components(g) if c.m)
 
 
@@ -190,6 +168,14 @@ def embedding_of(g: Graph, given: Optional[Embeddings] = None) -> Embeddings:
     if built is None:
         raise NonPlanarError("graph is not planar", witness=witness_nx(g.to_networkx()))
     return built
+
+
+def embed(g: Graph) -> RotationEmbedding:
+    """embedding_of for a connected graph with >= 2 vertices: its one
+    embedding, or NonPlanarError carrying a Kuratowski subdivision witness."""
+    require_connected(g)
+    (emb,) = embedding_of(g)
+    return emb
 
 
 def dual(emb: RotationEmbedding) -> Dict[int, List[Tuple[int, Edge]]]:

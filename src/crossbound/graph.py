@@ -29,11 +29,11 @@ class Graph:
     """A simple undirected graph: no loops, no parallel edges.
 
     Immutable after construction; equality and hashing are by vertex set
-    and edge set. The edge tuple and the hash are computed once, when
-    first asked for.
+    and edge set. The edge tuple, the hash and the automorphism list are
+    computed once, when first asked for.
     """
 
-    __slots__ = ("_adj", "_hash", "_edges")
+    __slots__ = ("_adj", "_hash", "_edges", "_automorphisms")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         adj: Dict[int, set] = {int(v): set() for v in vertices}
@@ -52,6 +52,7 @@ class Graph:
         }
         self._hash = None
         self._edges: Optional[Tuple[Edge, ...]] = None
+        self._automorphisms: Optional[Tuple[Dict[int, int], ...]] = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -121,13 +122,12 @@ def min_degree(g: Graph) -> int:
 
 def delete_edge(g: Graph, e: Edge) -> Graph:
     """Copy of g without edge e; the vertex set is unchanged."""
-    u, v = e
-    if not g.has_edge(u, v):
-        raise MissingEdgeError(f"({u}, {v}) is not an edge")
-    return Graph(g.vertices, (f for f in g.edges() if f != norm_edge(u, v)))
+    return delete_edges(g, [e])
 
 
 def delete_edges(g: Graph, edges: Iterable[Edge]) -> Graph:
+    """Copy of g without ``edges``; MissingEdgeError if one is not an edge
+    of g. Every removal set is checked here, and only here."""
     drop = {norm_edge(u, v) for u, v in edges}
     for e in drop:
         if not g.has_edge(*e):
@@ -179,15 +179,25 @@ def is_bipartite(g: Graph) -> bool:
 MAX_AUTOMORPHISMS = 2000
 
 
-def automorphisms(g: Graph) -> List[Dict[int, int]]:
+def automorphisms(g: Graph) -> Tuple[Dict[int, int], ...]:
     """Automorphisms of g, the identity first, at most MAX_AUTOMORPHISMS.
 
-    Each maps every vertex that has an edge; isolated vertices are left
-    out, so they cost nothing (each may be taken as fixed). Backtracking
-    over a breadth-first vertex order: a candidate image has the vertex's
-    degree, is adjacent to the image of its breadth-first parent, and
-    agrees with adjacency to every vertex already mapped. A complete map
-    that agrees everywhere is an automorphism, and the search misses none.
+    Listed once per graph, on the first call, and kept on g, which every
+    caller shares; the maps must not be changed. Each maps every vertex
+    that has an edge; isolated vertices are left out, so they cost nothing
+    (each may be taken as fixed).
+    """
+    if g._automorphisms is None:
+        g._automorphisms = tuple(_list_automorphisms(g))
+    return g._automorphisms
+
+
+def _list_automorphisms(g: Graph) -> List[Dict[int, int]]:
+    """The search behind automorphisms(g): backtracking over a breadth-first
+    vertex order. A candidate image has the vertex's degree, is adjacent to
+    the image of its breadth-first parent, and agrees with adjacency to
+    every vertex already mapped. A complete map that agrees everywhere is
+    an automorphism, and the search misses none.
     """
     order: List[int] = []
     parent: Dict[int, Optional[int]] = {}

@@ -13,7 +13,7 @@ cycles serves as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -77,6 +77,13 @@ def _canonical_cycle(cycle: Sequence[int]) -> Tuple[int, ...]:
     return best
 
 
+def _witness(g: Graph, cycle: Sequence[int]) -> CycleWitness:
+    """The witness of a cycle of g: its canonical form, apex and mu. Only
+    light_cycle_general's fallback sets ``fallback``, on a copy."""
+    m, apex = mu(g, cycle)
+    return CycleWitness(_canonical_cycle(cycle), apex, m)
+
+
 # Cycles brute_force_min_mu enumerates before it gives up. Its largest use in
 # the tests, the icosahedron at length <= 11, enumerates 11,598.
 MAX_ORACLE_CYCLES = 100_000
@@ -96,16 +103,14 @@ def brute_force_min_mu(g: Graph, max_len: int) -> CycleWitness:
         if count > MAX_ORACLE_CYCLES:
             raise BudgetExceededError(
                 f"more than {MAX_ORACLE_CYCLES} cycles of length <= {max_len}",
-                established=best[1] if best else None,
+                established=best,
             )
-        cyc = _canonical_cycle(raw)
-        m, apex = mu(g, cyc)
-        key = (m, cyc)
-        if best is None or key < best[0]:
-            best = (key, CycleWitness(cyc, apex, m))
+        wit = _witness(g, raw)
+        if best is None or (wit.mu, wit.cycle) < (best.mu, best.cycle):
+            best = wit
     if best is None:
         raise CrossboundError(f"no cycle of length <= {max_len}")
-    return best[1]
+    return best
 
 
 def light_cycle_planar(g: Graph, embedding: Optional[Embeddings] = None) -> CycleWitness:
@@ -114,26 +119,23 @@ def light_cycle_planar(g: Graph, embedding: Optional[Embeddings] = None) -> Cycl
     Found by embedding g and returning the first face whose weight w
     satisfies w - len/2 + 1 > 0; Euler's formula forces such a face to
     exist, to have length <= 5, and (with min degree 3) to be a simple
-    cycle whose mu is at most 10. ``embedding``, when given, is g's as
-    embed_components gives it, and is searched instead of embedding g
-    again; the cycle returned is checked against g either way. A
-    non-planar g raises NonPlanarError.
+    cycle whose mu is at most 10. ``embedding``, when given, must be g's as
+    embed_components gives it (CrossboundError if not), and is searched
+    instead of embedding g again. A non-planar g raises NonPlanarError.
     """
     if min_degree(g) < 3:
         raise CrossboundError("light_cycle_planar needs minimum degree >= 3")
-    if embedding is None:
-        embedding = embedding_of(g)
-    for emb in embedding:
+    for emb in embedding_of(g, embedding):
         for f in emb.faces:
             if f.weight - Fraction(f.length, 2) + 1 > 0:
                 if not f.is_simple_cycle():
                     continue
-                m, apex = mu(g, f.boundary)
-                if m > 10 or f.length > 5:
+                wit = _witness(g, f.boundary)
+                if wit.mu > 10 or f.length > 5:
                     raise CrossboundError(
-                        f"face-weight selection broke its guarantee: mu={m}, l={f.length}"
+                        f"face-weight selection broke its guarantee: mu={wit.mu}, l={f.length}"
                     )
-                return CycleWitness(_canonical_cycle(f.boundary), apex, m)
+                return wit
     raise CrossboundError("no qualifying face found (is the graph planar with min degree 3?)")
 
 
@@ -261,26 +263,18 @@ def _induction(
         # e is a chord of the lifted cycle: return the better of the two
         # subcycles of lifted + e through the chord
         i, j = sorted((lifted.index(v1), lifted.index(v2)))
-        side_a = lifted[i : j + 1]
-        side_b = lifted[j:] + lifted[: i + 1]
-        best = None
-        for side in (side_a, side_b):
-            if len(side) < 3:
-                continue
-            m, apex = mu(g, side)
-            key = (m, _canonical_cycle(side))
-            if best is None or key < best[0]:
-                best = (key, CycleWitness(_canonical_cycle(side), apex, m, inner.fallback))
-        if best is None:
+        sides = [side for side in (lifted[i : j + 1], lifted[j:] + lifted[: i + 1])
+                 if len(side) >= 3]
+        if not sides:
             raise InductionFallbackError("chord split produced no valid subcycle")
+        best = min((_witness(g, side) for side in sides), key=lambda wit: (wit.mu, wit.cycle))
         if trace is not None:
             trace.append(
-                ChordEvent(lifted, e, best[1].cycle, best[1].mu, inner.mu, t)
+                ChordEvent(lifted, e, best.cycle, best.mu, inner.mu, t)
             )
-        return best[1]
+        return best
 
-    m, apex = mu(g, lifted)
-    return CycleWitness(_canonical_cycle(lifted), apex, m, inner.fallback)
+    return _witness(g, lifted)
 
 
 def light_cycle_general(
@@ -306,17 +300,14 @@ def light_cycle_general(
     """
     e0 = sorted({norm_edge(u, v) for u, v in e0})
     t = len(e0)
-    for f in e0:
-        if not g.has_edge(*f):
-            raise CrossboundError(f"{f} is not an edge of the graph")
+    base = delete_edges(g, e0)  # MissingEdgeError first, for an e0 not in g
     if min_degree(g) < 3:
         raise CrossboundError("light_cycle_general needs minimum degree >= 3")
-    embedding = embedding_of(delete_edges(g, e0), embedding)
+    embedding = embedding_of(base, embedding)
     try:
         wit = _induction(g, e0, trace, embedding)
     except InductionFallbackError:
         wit = None
     if wit is not None and wit.mu <= t + 10:
         return wit
-    oracle = brute_force_min_mu(g, max_len=t + 11)
-    return CycleWitness(oracle.cycle, oracle.apex, oracle.mu, fallback=True)
+    return replace(brute_force_min_mu(g, max_len=t + 11), fallback=True)

@@ -58,6 +58,15 @@ def _independent_pairs(g: Graph) -> List[Pair]:
     return pairs
 
 
+def _partners(pairs) -> Dict[Edge, List[Edge]]:
+    """Each edge crossed in ``pairs`` -> the edges it crosses, in pair order."""
+    crossings: Dict[Edge, List[Edge]] = {}
+    for e, f in pairs:
+        crossings.setdefault(e, []).append(f)
+        crossings.setdefault(f, []).append(e)
+    return crossings
+
+
 def planarize_config(g: Graph, pairs, orders: Dict[Edge, Tuple[Edge, ...]]) -> nx.Graph:
     """The planarization graph of a crossing configuration, as a networkx
     graph ready for the planarity test.
@@ -68,10 +77,7 @@ def planarize_config(g: Graph, pairs, orders: Dict[Edge, Tuple[Edge, ...]]) -> n
     """
     next_id = (max(g.vertices) + 1) if g.n else 0
     dummy = {p: i for i, p in enumerate(sorted(pairs), start=next_id)}
-    crossings: Dict[Edge, List[Edge]] = {}
-    for e, f in pairs:
-        crossings.setdefault(e, []).append(f)
-        crossings.setdefault(f, []).append(e)
+    crossings = _partners(pairs)
     gn = nx.Graph()
     gn.add_nodes_from(g.vertices)
     for e in g.edges():
@@ -94,10 +100,7 @@ def _combo_witness(g: Graph, combo) -> Optional[CrossingConfig]:
     single-crossed partner keeps a degree-2 dummy) plus isolated dummies;
     so if this graph is non-planar, no order works.
     """
-    crossings: Dict[Edge, List[Edge]] = {}
-    for e, f in combo:
-        crossings.setdefault(e, []).append(f)
-        crossings.setdefault(f, []).append(e)
+    crossings = _partners(combo)
     multi = [e for e, ps in crossings.items() if len(ps) > 1]
     if multi:
         rest = [(e, f) for e, f in combo if e not in multi and f not in multi]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbound import bounds
+from crossbound import bounds, graph
 from crossbound.bounds import (
     SqrtExpr,
     certify_critical_bounds,
@@ -192,6 +192,20 @@ def _asked_edges(monkeypatch, g, k):
 @pytest.mark.parametrize("g, k", [(complete(6), 3), (named("petersen"), 2)], ids=["K6", "petersen"])
 def test_edge_transitive_graphs_ask_one_deletion(monkeypatch, g, k):
     assert _asked_edges(monkeypatch, g, k) == (True, [min(g.edges())])
+
+
+@pytest.mark.parametrize("make, k", [
+    (lambda: named("petersen"), 2), (lambda: complete(6), 3), (lambda: complete_bipartite(3, 4), 2),
+], ids=["petersen", "K6", "K3,4"])
+def test_automorphisms_are_listed_once_per_graph(monkeypatch, make, k):
+    # the oracle's pruning and the edge orbits share one list per graph:
+    # g's and one g - e's, as each graph here is edge-transitive
+    listed = []
+    search = graph._list_automorphisms
+    monkeypatch.setattr(graph, "_list_automorphisms", lambda h: listed.append(h) or search(h))
+    g = make()
+    certify_critical_bounds(g, k)
+    assert listed == [g, delete_edge(g, min(g.edges()))]
 
 
 def test_one_deletion_per_edge_orbit(monkeypatch):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -128,6 +132,32 @@ def test_draw_k5_with_svg(runner, tmp_path):
     assert doc["crossing_bound"] == "1/1"
     assert doc["bound_met"] is True
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("text, fmt", [(b"", "edgelist"), (b"?\n", "graph6")])
+def test_analyze_the_empty_graph(runner, tmp_path, text, fmt):
+    path = tmp_path / "empty"
+    path.write_bytes(text)
+    res = runner.invoke(main, ["analyze", str(path), "--format", fmt])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert (doc["n"], doc["min_degree"], doc["light_cycle"]) == (0, None, None)
+    assert (doc["skewness_bound"], doc["cr"]) == (None, 0)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_defaults_to_one_blas_thread(preset, expected):
+    # numpy, and with it OpenBLAS, is not loaded yet when the CLI sets the default
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
+    code = ("import os, sys, crossbound.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.split() == [expected, "False"]
 
 
 def test_critical_k5(runner):

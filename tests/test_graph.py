@@ -15,11 +15,15 @@ from crossbound.graph import (
     automorphisms,
     contract_edges,
     delete_edge,
+    delete_edges,
     is_bipartite,
     min_degree,
     parse_graph,
     serialize_graph,
 )
+from crossbound.lightcycle import light_cycle_general
+from crossbound.router import build_drawing
+from crossbound.skewness import SkewnessCertificate
 
 
 def test_parse_graph6_k5():
@@ -105,6 +109,21 @@ def test_delete_edge(k5, c4):
     assert path.edges() == ((0, 1), (1, 2))
     with pytest.raises(MissingEdgeError):
         delete_edge(c4, (0, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, e: delete_edge(g, e),
+    lambda g, e: delete_edges(g, [(0, 1), e]),
+    lambda g, e: contract_edges(g, [e]),
+    lambda g, e: build_drawing(g, SkewnessCertificate(1, frozenset({e}), exact=False)),
+    lambda g, e: light_cycle_general(g, [e]),
+], ids=["delete_edge", "delete_edges", "contract_edges", "build_drawing", "light_cycle_general"])
+def test_a_non_edge_raises_missing_edge_error(c4, call):
+    # delete_edges is the one check that a removal set names edges; the
+    # error comes before any other, such as light_cycle_general's degree
+    # check, and names the edge as (low, high)
+    with pytest.raises(MissingEdgeError, match=r"^\(0, 2\) is not an edge$"):
+        call(c4, (2, 0))
 
 
 def test_contract_c4_gives_c3(c4):

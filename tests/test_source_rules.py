@@ -31,6 +31,33 @@ def test_rotation_from_networkx_has_one_owner():
     assert {name: k for name, k in found.items() if k} == {"embedding.py": 1}, found
 
 
+def _callers(path: Path, name: str):
+    """The top-level functions of a source file, once per call they make to
+    ``name`` (as a plain or an attribute call)."""
+    return sorted(
+        fn.name
+        for fn in ast.parse(path.read_text()).body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_check_planarity_has_three_owners():
+    # a yes/no test, a witness, and the one LR test that becomes a rotation system
+    found = {path.name: path.read_text().count("check_planarity(") for path in SOURCES}
+    assert {name: k for name, k in found.items() if k} == {"embedding.py": 3}, found
+    owners = _callers(SOURCES[0].parent / "embedding.py", "check_planarity")
+    assert owners == ["embed_components", "planar_nx", "witness_nx"], owners
+
+
+def test_cycle_witness_has_one_constructor():
+    found = {path.name: path.read_text().count("CycleWitness(") for path in SOURCES}
+    assert {name: k for name, k in found.items() if k} == {"lightcycle.py": 1}, found
+    assert _callers(SOURCES[0].parent / "lightcycle.py", "CycleWitness") == ["_witness"]
+
+
 def test_graph6_writer_is_not_networkx():
     # networkx's writer walks all n(n-1)/2 vertex pairs in Python
     found = [path.name for path in SOURCES if "to_graph6_bytes" in path.read_text()]
