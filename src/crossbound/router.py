@@ -8,13 +8,13 @@ embedding allows. That is at most floor((2n - 7) / 3): triangulating the
 embedding only adds edges, and its cheapest dual path is never shorter.
 
 build_drawing iterates this over a whole removal set in one embedding.
-Each route is spliced into the rotation system, every crossing becoming a
-degree-4 dummy vertex around which the two edges alternate, so the next
-route sees the earlier ones as ordinary crossable edges. The Euler check of
-each spliced embedding certifies the planarization, and the SVG is laid out
-in the last one. The drawing's one record is the chain of every original
-edge through its dummies; the crossing records are read off the chains at
-the end, and their count is reported next to the closed-form skewness bound.
+_splice, the one writer of a route into a rotation system, turns every
+crossing into a degree-4 dummy around which the two edges alternate, so
+the next route sees the earlier ones as ordinary crossable edges. The
+spliced embedding is the drawing's one record: its Euler check certifies
+the planarization, the SVG is laid out in it, and every chain and the
+route that made each dummy are read off its rotation system. The crossing
+count is reported next to the closed-form skewness bound.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .skewness import SkewnessCertificate
 
 # key of an original edge's chain: ("base", edge) or ("route", edge)
 OriginKey = Tuple[str, Edge]
+SVG_SIZE = 600  # side of the SVG picture, in pixels
 
 
 @dataclass(frozen=True)
@@ -100,41 +101,58 @@ def insert_edge(emb: RotationEmbedding, e: Edge) -> EdgeRoute:
 
 
 @dataclass(frozen=True)
-class CrossingRecord:
-    """One crossing of a routed edge: the original edge it crosses and the
-    position of the crossing along that edge (0-based from its low end)."""
-
-    with_edge: Edge
-    with_kind: str  # "base" or "route"
-    order_on_edge: int
-
-
-@dataclass(frozen=True)
 class PlanarizationDrawing:
     """A countable drawing certificate: planar base plus routed edges.
 
-    ``chains`` maps every original edge to its vertex chain through its
-    crossing dummies; it is the one record of the drawing.
-    ``planarization`` is the union of the chains' segments (all crossings as
-    dummies), each of its edges a segment of exactly one chain, and
-    ``embedding`` is the base embedding with every route spliced in; its
-    graph is ``planarization``.
-    ``dummy_map`` names, for each dummy, the route that made it and the
-    original edge that route crossed there.
+    ``embedding`` is the base embedding with every route spliced in, all
+    crossings as dummies; it is the one record of the drawing, and its
+    graph is the ``planarization``. ``chains`` (every original edge's
+    vertex chain through its crossing dummies, from its low end) and
+    ``dummy_map`` (for each dummy, the route that made it and the original
+    edge that route crossed there) are read off its rotation system.
     """
 
     graph: Graph
     base: RotationEmbedding
-    removed: Tuple[Edge, ...]
     routes: Tuple[EdgeRoute, ...]
-    crossings: Tuple[Tuple[CrossingRecord, ...], ...]  # parallel to routes
-    planarization: Graph
     embedding: RotationEmbedding
     chains: Dict[OriginKey, Tuple[int, ...]]
     dummy_map: Dict[int, Tuple[OriginKey, OriginKey]]
-    crossing_count: int
     bound: Fraction
-    bound_met: bool
+
+    @property
+    def planarization(self) -> Graph:
+        return self.embedding.graph
+
+    @property
+    def crossing_count(self) -> int:
+        return len(self.dummy_map)
+
+    @property
+    def bound_met(self) -> bool:
+        return self.crossing_count <= self.bound
+
+
+def _splice(emb: RotationEmbedding, route: EdgeRoute, first_id: int) -> RotationEmbedding:
+    """emb with route drawn in: its i-th crossing becomes the degree-4 dummy
+    first_id + i, around which the crossed edge and the route alternate.
+    Euler-checked, so the result is planar."""
+    path = [route.edge[0], *range(first_id, first_id + len(route.crossed)), route.edge[1]]
+    rot = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
+    # dummy i splits crossed edge i, oriented (x, y) with face i on its
+    # left; around it come x, the previous route vertex, y, the next one
+    for i, (a, b) in enumerate(route.crossed):
+        dv = path[i + 1]
+        x, y = (a, b) if emb.face_of(a, b) == route.face_sequence[i] else (b, a)
+        rot[x][rot[x].index(y)] = rot[y][rot[y].index(x)] = dv
+        rot[dv] = [x, path[i], y, path[i + 2]]
+    # each endpoint enters the route's end face after a neighbour on it
+    for end, nxt, face in ((path[0], path[1], route.face_sequence[0]),
+                           (path[-1], path[-2], route.face_sequence[-1])):
+        w = min(w for w in emb.graph.neighbors(end) if emb.face_of(w, end) == face)
+        rot[end].insert(rot[end].index(w) + 1, nxt)
+    edges = ((v, w) for v, nbrs in rot.items() for w in nbrs if v < w)
+    return RotationEmbedding(Graph(rot, edges), rot)
 
 
 def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
@@ -147,65 +165,44 @@ def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
     further planarity test, or for a hand-built certificate one built here
     (NonPlanarError, with a witness, if the removal set does not
     planarize). The base must be connected, with at least 2 vertices."""
-    removed = tuple(sorted(norm_edge(u, v) for u, v in cert.removed))
+    removed = sorted(norm_edge(u, v) for u, v in cert.removed)
     base_graph = delete_edges(g, removed)
     require_connected(base_graph)
     (base_emb,) = embedding_of(base_graph, cert.embedding)
     emb = base_emb
-
-    chains: Dict[OriginKey, List[int]] = {("base", e): list(e) for e in base_graph.edges()}
-    segment: Dict[Edge, OriginKey] = {e: ("base", e) for e in base_graph.edges()}
-    dummy_map: Dict[int, Tuple[OriginKey, OriginKey]] = {}
     routes: List[EdgeRoute] = []
     first_dummy = max(g.vertices) + 1
-    for e0 in removed:
-        route = insert_edge(emb, e0)
-        routes.append(route)
-        start = first_dummy + len(dummy_map)
-        path = [e0[0], *range(start, start + len(route.crossed)), e0[1]]
-        rot = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
-        # dummy i splits crossed edge i, oriented (x, y) with face i on its
-        # left; around it come x, the previous route vertex, y, the next one
-        for i, (a, b) in enumerate(route.crossed):
-            dv, okey = path[i + 1], segment.pop((a, b))
-            x, y = (a, b) if emb.face_of(a, b) == route.face_sequence[i] else (b, a)
-            rot[x][rot[x].index(y)] = rot[y][rot[y].index(x)] = dv
-            rot[dv] = [x, path[i], y, path[i + 2]]
-            oc = chains[okey]
-            oc.insert(min(oc.index(a), oc.index(b)) + 1, dv)
-            segment[norm_edge(x, dv)] = segment[norm_edge(dv, y)] = okey
-            dummy_map[dv] = (("route", e0), okey)
-        # each endpoint enters the route's end face after a neighbour on it
-        for end, nxt, face in ((path[0], path[1], route.face_sequence[0]),
-                               (path[-1], path[-2], route.face_sequence[-1])):
-            w = min(w for w in emb.graph.neighbors(end) if emb.face_of(w, end) == face)
-            rot[end].insert(rot[end].index(w) + 1, nxt)
-        chains[("route", e0)] = path
-        segment.update((norm_edge(u, w), ("route", e0)) for u, w in zip(path, path[1:]))
-        emb = RotationEmbedding(Graph(rot, segment), rot)  # Euler-checked: planar
+    for e in removed:
+        routes.append(insert_edge(emb, e))
+        emb = _splice(emb, routes[-1], first_dummy + emb.graph.n - g.n)
 
-    # a route's records are the dummies it made itself, in crossing order;
-    # later routes also add dummies to its chain
-    records: Dict[OriginKey, List[CrossingRecord]] = {("route", e): [] for e in removed}
-    for dv, (rkey, okey) in dummy_map.items():
-        records[rkey].append(CrossingRecord(okey[1], okey[0], chains[okey].index(dv) - 1))
-    crossings = tuple(tuple(recs) for recs in records.values())
-    final_chains = {k: tuple(v) for k, v in chains.items()}
-    count = len(dummy_map)
-    bound = skewness_crossing_bound(g.n, len(removed))
+    # a chain leaves an original vertex, runs straight through each dummy to
+    # the opposite neighbour in its 4-rotation, and its far end names the
+    # original edge; it is kept from its low end
+    chains: Dict[OriginKey, Tuple[int, ...]] = {}
+    for v in g.vertices:
+        for w in emb.rotation[v]:
+            chain = [v, w]
+            while w >= first_dummy:
+                nbrs = emb.rotation[w]
+                w = nbrs[(nbrs.index(chain[-2]) + 2) % 4]
+                chain.append(w)
+            if v < w:
+                chains[("base" if base_graph.has_edge(v, w) else "route", (v, w))] = tuple(chain)
+    # each dummy lies on two chains, and the later in key order made it:
+    # base chains sort before routes, and routes are spliced in sorted order
+    through: Dict[int, List[OriginKey]] = {}
+    for key, chain in sorted(chains.items()):
+        for dv in chain[1:-1]:
+            through.setdefault(dv, []).append(key)
     return PlanarizationDrawing(
         graph=g,
         base=base_emb,
-        removed=removed,
         routes=tuple(routes),
-        crossings=crossings,
-        planarization=emb.graph,
         embedding=emb,
-        chains=final_chains,
-        dummy_map=dummy_map,
-        crossing_count=count,
-        bound=bound,
-        bound_met=count <= bound,
+        chains=chains,
+        dummy_map={dv: (later, earlier) for dv, (earlier, later) in sorted(through.items())},
+        bound=skewness_crossing_bound(g.n, len(removed)),
     )
 
 
@@ -229,6 +226,11 @@ def strip_routes(drawing: PlanarizationDrawing) -> Graph:
 
 
 def _drawing_dict(drawing: PlanarizationDrawing) -> dict:
+    # _splice numbers a route's dummies in order along it
+    made: Dict[Edge, List[dict]] = {route.edge: [] for route in drawing.routes}
+    for dv, (maker, crossed) in drawing.dummy_map.items():
+        made[maker[1]].append({"with": list(crossed[1]),
+                               "order_on_edge": drawing.chains[crossed].index(dv) - 1})
     return {
         "n": drawing.graph.n,
         "base_edges": [list(e) for e in drawing.base.graph.edges()],
@@ -236,12 +238,9 @@ def _drawing_dict(drawing: PlanarizationDrawing) -> dict:
             {
                 "edge": list(route.edge),
                 "faces": list(route.face_sequence),
-                "crossings": [
-                    {"with": list(rec.with_edge), "order_on_edge": rec.order_on_edge}
-                    for rec in recs
-                ],
+                "crossings": made[route.edge],
             }
-            for route, recs in zip(drawing.routes, drawing.crossings)
+            for route in drawing.routes
         ],
         "crossing_count": drawing.crossing_count,
         "crossing_bound": f"{drawing.bound.numerator}/{drawing.bound.denominator}",
@@ -301,16 +300,16 @@ def _layout(drawing: PlanarizationDrawing) -> Dict[int, Tuple[float, float]]:
     }
 
 
-def _svg(drawing: PlanarizationDrawing, size: int = 600) -> bytes:
+def _svg(drawing: PlanarizationDrawing) -> bytes:
     pos = _layout(drawing)
 
     def pt(v):
         x, y = pos[v]
-        return x * size, y * size
+        return x * SVG_SIZE, y * SVG_SIZE
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">'
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">'
     ]
     for key, chain in sorted(drawing.chains.items()):
         kind, _ = key

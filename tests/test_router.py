@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -9,6 +10,10 @@ from crossbound.embedding import embed, is_planar
 from crossbound.errors import (CrossboundError, GraphFormatError, MissingEdgeError,
                                NonPlanarError)
 from crossbound.generators import (
+    NAMED,
+    complete,
+    complete_bipartite,
+    named,
     planar_plus,
     random_maximal_planar,
     random_planar_min_degree3,
@@ -153,13 +158,42 @@ def _sparse_inputs(seed, count):
         yield Graph(base.vertices, base.edges() + tuple(extra)), cert
 
 
+# sha256 over the JSON and SVG of _golden_corpus(), in order: a change to
+# how a drawing is built or recorded must leave every byte of it in place
+DRAWING_CORPUS_DIGEST = "00ac743dd0cdc4f2dcad52506cbcdb99ff7c05a8af1692e71f58ae21da223b90"
+
+
+def _golden_corpus():
+    graphs = [complete(5), complete(6), complete_bipartite(3, 4), complete_bipartite(4, 4),
+              *map(named, NAMED)]
+    yield from ((g, skewness_exact(g)) for g in graphs)
+    yield from _planar_plus_inputs(71, 16)
+    yield from _sparse_inputs(69, 40)
+
+
+def test_drawing_corpus_output_is_pinned():
+    h = hashlib.sha256()
+    for g, cert in _golden_corpus():
+        drawing = build_drawing(g, cert)
+        h.update(render(drawing, "json"))
+        h.update(render(drawing, "svg"))
+    assert h.hexdigest() == DRAWING_CORPUS_DIGEST
+
+
 def test_build_drawing_counts_agree_with_records():
     inputs = [*_planar_plus_inputs(62, 12), *_sparse_inputs(64, 40)]
     for g, cert in inputs:
         drawing = build_drawing(g, cert)
-        assert drawing.crossing_count == sum(len(r) for r in drawing.crossings)
-        assert drawing.crossing_count == len(drawing.dummy_map)
+        doc = json.loads(render(drawing, "json"))
+        inserted = doc["inserted"]
+        assert drawing.crossing_count == sum(len(item["crossings"]) for item in inserted)
+        assert drawing.crossing_count == len(drawing.dummy_map) == doc["crossing_count"]
         assert drawing.crossing_count == sum(len(r.crossed) for r in drawing.routes)
+        # route i lists the crossings it made itself, so the chain read off
+        # the embedding as a dummy's maker is the route that spliced it in
+        for route, item in zip(drawing.routes, inserted, strict=True):
+            assert item["edge"] == list(route.edge)
+            assert len(item["crossings"]) == len(route.crossed)
         assert drawing.bound_met
         assert is_planar(drawing.planarization)
         assert drawing.embedding.graph == drawing.planarization
@@ -168,11 +202,12 @@ def test_build_drawing_counts_agree_with_records():
         assert drawing.planarization.n == g.n + k
         assert drawing.planarization.m == g.m + 2 * k
         # order positions are sane along each crossed chain
-        for recs in drawing.crossings:
-            for rec in recs:
-                key = (rec.with_kind, rec.with_edge)
-                chain = drawing.chains[key]
-                assert 0 <= rec.order_on_edge < len(chain) - 2
+        base_edges = {tuple(e) for e in doc["base_edges"]}
+        for item in inserted:
+            for rec in item["crossings"]:
+                e = tuple(rec["with"])
+                chain = drawing.chains[("base" if e in base_edges else "route", e)]
+                assert 0 <= rec["order_on_edge"] < len(chain) - 2
 
 
 def test_strip_routes_roundtrip():

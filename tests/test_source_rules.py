@@ -58,6 +58,13 @@ def test_cycle_witness_has_one_constructor():
     assert _callers(SOURCES[0].parent / "lightcycle.py", "CycleWitness") == ["_witness"]
 
 
+def test_splice_is_the_one_rotation_writer_in_router():
+    # a drawing's rotation system changes only by splicing a route into it
+    router = SOURCES[0].parent / "router.py"
+    assert router.read_text().count("RotationEmbedding(") == 1
+    assert _callers(router, "RotationEmbedding") == ["_splice"]
+
+
 def test_graph6_writer_is_not_networkx():
     # networkx's writer walks all n(n-1)/2 vertex pairs in Python
     found = [path.name for path in SOURCES if "to_graph6_bytes" in path.read_text()]
