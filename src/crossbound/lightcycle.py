@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from .embedding import Embeddings, embed_components, embedding_of, is_planar
+from .embedding import Embeddings, embedding_of
 from .errors import (BudgetExceededError, CrossboundError, InductionFallbackError,
                      NotACycleError)
 from .graph import (Edge, Graph, contract_edges, delete_edge, delete_edges,
@@ -216,7 +216,13 @@ def _induction(
     embedding: Optional[Embeddings] = None,
 ) -> CycleWitness:
     """One delete/contract/lift level; ``embedding``, if known, is that of
-    g - e0, and the last level (e0 empty) searches it."""
+    g - e0, and the last level (e0 empty) searches it or builds one.
+
+    h - e0_h is a minor of g - e0, so it is planar with no test: a merge
+    contracts an edge of g - e0, or a removed edge at a vi whose other edges
+    are removed too (the smoothing prefers kept edges), which deletes the
+    isolated vi; e0_h holds every image of a removed edge. A level that
+    contracts nothing has h - e0_h = g - e0 and passes its embedding down."""
     if not e0:
         return light_cycle_planar(g, embedding)
     t = len(e0)
@@ -244,18 +250,8 @@ def _induction(
     )
     if min_degree(h) < 3:
         raise InductionFallbackError("contraction dropped the minimum degree below 3")
-    # at the last level (e0_h empty) the planarity test builds the
-    # embedding that light_cycle_planar searches
-    h_embedding = None
-    if e0_h:
-        planar = is_planar(delete_edges(h, e0_h))
-    else:
-        h_embedding = embed_components(h)
-        planar = h_embedding is not None
-    if not planar:
-        raise InductionFallbackError("contracted graph minus remaining extras is not planar")
 
-    inner = _induction(h, e0_h, trace, h_embedding)
+    inner = _induction(h, e0_h, trace, None if contract else embedding)
     lifted = _lift_cycle(gp, inner.cycle, mapping, {v1, v2})
 
     on_cycle = set(lifted)
@@ -290,7 +286,8 @@ def light_cycle_general(
     embed_components gives it (a skewness certificate's). It must be of
     exactly g - e0 (CrossboundError if not), and then proves it planar with
     no LR test; with none given, it is built here, and a non-planar g - e0
-    raises NonPlanarError. With e0 empty, the planar search runs in it.
+    raises NonPlanarError. The induction adds at most one LR test to that,
+    and none if no level contracts (no removed edge has an end of degree 3).
 
     Runs the delete/contract/lift induction. When an induction step leaves
     the hypotheses (contraction merged parallel edges and dropped a degree

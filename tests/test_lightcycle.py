@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -5,19 +6,26 @@ import pytest
 
 from crossbound import lightcycle
 from crossbound.errors import BudgetExceededError, CrossboundError, NotACycleError
+from crossbound.embedding import embed_components
 from crossbound.generators import (
+    complete,
+    complete_bipartite,
     named,
     planar_plus,
     random_planar_min_degree3,
 )
-from crossbound.graph import Graph
+from crossbound.graph import Graph, delete_edges, norm_edge
 from crossbound.lightcycle import (
     brute_force_min_mu,
     light_cycle_general,
     light_cycle_planar,
     mu,
 )
-from crossbound.skewness import skewness_exact
+from crossbound.skewness import (
+    SkewnessCertificate,
+    planar_subgraph_heuristic,
+    skewness_exact,
+)
 
 
 def test_mu_k4(k4):
@@ -225,3 +233,123 @@ def test_fallback_result_is_still_a_witness(k4):
     m, _ = mu(k4, wit.cycle)
     assert m == wit.mu <= 1 + 10
     assert wit.mu == 2  # still the global optimum for K4
+
+
+def _certificate(g, removed):
+    """A hand-built certificate of a known planarizing set, with the
+    embedding of g - removed that a search's certificate would carry."""
+    removed = frozenset(removed)
+    embedding = embed_components(delete_edges(g, removed))
+    return SkewnessCertificate(len(removed), removed, False, embedding)
+
+
+def _random_cubic_plus(rng):
+    """A random cubic graph on 8-14 vertices plus up to four random edges:
+    minimum degree 3, so the induction contracts at degree-3 endpoints."""
+    n = 2 * rng.randint(4, 7)
+    gn = nx.random_regular_graph(3, n, seed=rng.randrange(2**32))
+    for _ in range(rng.randint(0, 4)):
+        gn.add_edge(*rng.sample(range(n), 2))
+    return Graph.from_networkx(gn)
+
+
+def _pin_corpus():
+    """(graph, certificate) pairs: named graphs with exact certificates;
+    the cube and the dodecahedron plus a diagonal of their light face, so
+    the chord branch fires; planar_plus graphs with their added edges; and
+    random cubic graphs plus a few edges, some of which fall back."""
+    graphs = [named(name) for name in ("petersen", "dodecahedron", "icosahedron")]
+    graphs += [complete(n) for n in (5, 6, 7)]
+    graphs += [complete_bipartite(3, b) for b in (3, 4, 5, 6)]
+    yield from ((g, skewness_exact(g)) for g in graphs)
+    for name in ("cube", "dodecahedron"):
+        g = named(name)
+        face = light_cycle_planar(g).cycle
+        e = norm_edge(face[0], face[2])
+        g = Graph(g.vertices, g.edges() + (e,))
+        yield g, _certificate(g, [e])
+    rng = random.Random(41)
+    for _ in range(60):
+        g, extra = planar_plus(rng.randint(8, 40), rng.randint(1, 4), rng)
+        yield g, _certificate(g, extra)
+    rng = random.Random(42)
+    for _ in range(50):
+        g = _random_cubic_plus(rng)
+        yield g, planar_subgraph_heuristic(g)
+
+
+# sha256 over light_cycle_general's results on _pin_corpus(), each input
+# without and then with its certificate's embedding: cycle, apex, mu,
+# fallback and every ChordEvent field. A change to how the induction tests
+# or carries planarity must leave every result in place.
+LIGHT_CYCLE_DIGEST = "349970568167b7d711a84d48056aab8860522fe9a0ffb7c6af64150e1cfcab50"
+
+
+def test_light_cycle_results_are_pinned():
+    h = hashlib.sha256()
+    fallbacks = chords = 0
+    for g, cert in _pin_corpus():
+        for embedding in (None, cert.embedding):
+            trace = []
+            wit = light_cycle_general(g, cert.removed, trace, embedding=embedding)
+            events = [(ev.lifted_cycle, ev.chord, ev.returned_cycle, ev.returned_mu,
+                       ev.recursive_mu, ev.t) for ev in trace]
+            h.update(repr((wit.cycle, wit.apex, wit.mu, wit.fallback, events)).encode())
+            fallbacks += wit.fallback
+            chords += len(trace)
+    assert fallbacks and chords  # the corpus reaches both branches
+    assert h.hexdigest() == LIGHT_CYCLE_DIGEST
+
+
+def test_every_level_is_planar_with_no_test(monkeypatch):
+    # the induction tests no level for planarity, because each level's
+    # g - e0 is a minor of the one above; check it here at every level, on
+    # inputs whose removed edges have degree-3 ends, so that levels contract
+    induction = lightcycle._induction
+    levels = contracting = 0
+
+    def checked(g, e0, trace, embedding=None):
+        nonlocal levels, contracting
+        levels += 1
+        contracting += any(g.degree(v) == 3 for v in min(e0, default=()))
+        assert nx.check_planarity(delete_edges(g, e0).to_networkx())[0]
+        return induction(g, e0, trace, embedding)
+
+    cases = [(g, skewness_exact(g)) for g in
+             (named("petersen"), *(complete_bipartite(3, b) for b in (3, 4, 5, 6)))]
+    rng = random.Random(51)
+    cubic = (Graph.from_networkx(nx.random_regular_graph(3, 2 * rng.randint(5, 8),
+                                                        seed=rng.randrange(2**32)))
+             for _ in range(30))
+    graphs = [g for g in cubic if not nx.check_planarity(g.to_networkx())[0]]
+    graphs += [_random_cubic_plus(rng) for _ in range(30)]
+    cases += [(g, planar_subgraph_heuristic(g)) for g in graphs]
+    monkeypatch.setattr(lightcycle, "_induction", checked)
+    for g, cert in cases:
+        wit = light_cycle_general(g, cert.removed, embedding=cert.embedding)
+        assert mu(g, wit.cycle) == (wit.mu, wit.apex)
+    assert contracting > 50 and levels > contracting
+
+
+def test_light_cycle_runs_at_most_one_lr_test(monkeypatch):
+    # given the certificate's embedding, no level tests planarity: a call
+    # that never contracts runs no LR test, and one that does runs one, to
+    # embed its last level
+    g, extra = planar_plus(100, 4, random.Random(3))
+    cases = [(g, _certificate(g, extra))]
+    cases += [(h, skewness_exact(h)) for h in
+              (complete(6), named("petersen"), complete_bipartite(3, 4))]
+    check_planarity = nx.check_planarity
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check_planarity(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", counted)
+    found = []
+    for g, cert in cases:
+        calls.clear()
+        light_cycle_general(g, cert.removed, embedding=cert.embedding)
+        found.append(len(calls))
+    assert found == [0, 0, 1, 1]

@@ -75,3 +75,19 @@ def test_graph6_reader_is_not_networkx():
     # so does networkx's reader; parse_graph reads the set bits directly
     found = [path.name for path in SOURCES if "from_graph6_bytes" in path.read_text()]
     assert SOURCES and not found, found
+
+
+def test_light_cycle_runs_no_planarity_test_of_its_own():
+    # each induction level is a minor of g - e0, whose embedding it is
+    # given or builds: lightcycle embeds only through embedding_of, and
+    # only at its two entry points
+    lightcycle = SOURCES[0].parent / "lightcycle.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(lightcycle.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    tests = {"is_planar", "embed_components", "planar_nx", "witness_nx"}
+    assert not imported & tests, imported & tests
+    assert _callers(lightcycle, "embedding_of") == ["light_cycle_general", "light_cycle_planar"]
