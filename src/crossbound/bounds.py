@@ -14,9 +14,10 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import CrossboundError, NotCriticalError
-from .graph import Graph, automorphisms, delete_edge, min_degree, norm_edge
+from .graph import Edge, Graph, automorphisms, delete_edge, min_degree, norm_edge
 from .lightcycle import CycleWitness, light_cycle_general
-from .oracle import cr_at_most, crossing_number, DEFAULT_MAX_EDGES, DEFAULT_MAX_K
+from .oracle import CrossingConfig, cr_at_most, crossing_number_from
+from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_K
 from .skewness import SkewnessCertificate, skewness_exact
 
 
@@ -139,10 +140,11 @@ def verify_degree_reciprocal_bounds(d_max: int = 60) -> bool:
     )
 
 
-def is_k_crossing_critical(
-    g: Graph, k: int, max_k: int = DEFAULT_MAX_K, max_edges: int = DEFAULT_MAX_EDGES
-) -> bool:
-    """cr(g) >= k and cr(g minus e) <= k - 1 for every edge e.
+def _critical_witness(
+    g: Graph, k: int, max_k: int, max_edges: int
+) -> Optional[Tuple[Edge, CrossingConfig]]:
+    """(e0, a planarizing configuration of g - e0 with at most k - 1 pairs)
+    if cr(g) >= k and cr(g minus e) <= k - 1 for every edge e, else None.
 
     Edges are taken in sorted order, and g - e is asked only if no listed
     automorphism maps an edge already asked onto e: an automorphism s maps
@@ -150,21 +152,31 @@ def is_k_crossing_critical(
     automorphism listed, this is one question per edge orbit, for its least
     edge. The first edge whose deletion keeps cr >= k is always asked (an
     edge it was skipped for would come before it and fail too), so the
-    verdict is the same as when every edge is asked.
+    verdict is the same as when every edge is asked. e0 is g's least edge.
     """
     if k < 1:
         raise CrossboundError("k must be >= 1")
     if cr_at_most(g, k - 1, max_k=max_k, max_edges=max_edges)[0]:
-        return False
+        return None
     symmetries = automorphisms(g)
     covered = set()
+    first = None
     for e in g.edges():
         if e in covered:
             continue
         covered.update(norm_edge(s[e[0]], s[e[1]]) for s in symmetries)
-        if not cr_at_most(delete_edge(g, e), k - 1, max_k=max_k, max_edges=max_edges)[0]:
-            return False
-    return True
+        below, wit = cr_at_most(delete_edge(g, e), k - 1, max_k=max_k, max_edges=max_edges)
+        if not below:
+            return None
+        first = first or (e, wit)
+    return first
+
+
+def is_k_crossing_critical(
+    g: Graph, k: int, max_k: int = DEFAULT_MAX_K, max_edges: int = DEFAULT_MAX_EDGES
+) -> bool:
+    """cr(g) >= k and cr(g minus e) <= k - 1 for every edge e."""
+    return _critical_witness(g, k, max_k, max_edges) is not None
 
 
 @dataclass(frozen=True)
@@ -192,11 +204,17 @@ def certify_critical_bounds(
     """Evaluate all bounds for a k-crossing-critical graph and record, per
     bound, whether the exact crossing number respects it.
 
+    cr is bracketed, not searched afresh. The criticality check exhausted the
+    levels below k, so cr(g) >= k. Adding pairs (e0, f) to the witness of
+    g - e0 gives k-pair configurations of g, and one that planarizes is a
+    k-crossing drawing: cr(g) = k. Only if none does is g searched, from k.
+
     Raises NotCriticalError if g is not k-crossing-critical."""
-    if not is_k_crossing_critical(g, k, max_k=max_k, max_edges=max_edges):
+    found = _critical_witness(g, k, max_k, max_edges)
+    if found is None:
         raise NotCriticalError(f"graph is not {k}-crossing-critical")
     delta = min_degree(g)
-    cr = crossing_number(g, max_k=max_k, max_edges=max_edges)
+    cr = crossing_number_from(g, k, *found, max_k=max_k, max_edges=max_edges)
     cert = skewness_exact(g)
     wit = (light_cycle_general(g, cert.removed, embedding=cert.embedding)
            if delta >= 3 else None)

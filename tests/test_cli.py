@@ -102,6 +102,14 @@ def test_oracle_budget_exit_code(runner):
     assert json.loads(res.stderr)["error"] == "cr exceeds budget on a component (cr > 0)"
 
 
+def test_critical_bracket_keeps_the_k_budget(runner):
+    # K6 - e has a 2-crossing witness that extends to a 3-crossing drawing
+    # of K6, but k = 3 is above max_k = 2, so the budget error stands
+    res = runner.invoke(main, ["critical", "complete:6", "--k", "3", "--max-k", "2"])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr) == {"error": "cr exceeds budget on a component (cr > 2)"}
+
+
 def test_analyze_k6(runner):
     res = runner.invoke(main, ["analyze", "complete:6"])
     assert res.exit_code == 0

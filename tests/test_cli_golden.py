@@ -38,6 +38,8 @@ GOLDEN = [
     ("critical petersen --k 2", 0, "d48fa8652f94b31b71b2b6d9fdfdd5c84e40d32dddf30b79eabdc6cc4a1d5ca7"),
     ("critical bipartite:3:4 --k 2", 0, "d02c91c62d164253240a2aec952496f488e71a15248dd0b441db41f7320f8be3"),
     ("critical bipartite:3:5 --k 1 --max-k 1", 0, "ee8da57af7d3cf36f5009eb75766906411cd7e8a7fbbcc59dddce27a2883bf5e"),
+    # cr 4 > k: no extension of K3,5 - e's witness planarizes, so cr is searched from level 3
+    ("critical bipartite:3:5 --k 3", 0, "b9cbd3e23821a31e462a7fc8a15452907640e77ee97391481a294681fc9334d1"),
     # the budget error and what it established go to stderr
     ("oracle complete:6 --max-k 2", 3, "cc981d63f09b579508c3796cdb82aaaf385a3a7b6b18eb53be28a941f091e62a"),
 ]

@@ -91,3 +91,26 @@ def test_light_cycle_runs_no_planarity_test_of_its_own():
     tests = {"is_planar", "embed_components", "planar_nx", "witness_nx"}
     assert not imported & tests, imported & tests
     assert _callers(lightcycle, "embedding_of") == ["light_cycle_general", "light_cycle_planar"]
+
+
+def test_combo_witness_is_called_only_in_the_oracle():
+    # every configuration is certified by the oracle itself
+    found = {path.name: path.read_text().count("_combo_witness(") for path in SOURCES}
+    assert found["oracle.py"] and not {n: k for n, k in found.items() if k and n != "oracle.py"}
+    assert _callers(SOURCES[0].parent / "oracle.py", "_combo_witness") == [
+        "_extension_witness", "_level_witness"]
+
+
+def test_bounds_builds_no_planarization():
+    # bounds asks the oracle; it neither planarizes nor routes
+    bounds = SOURCES[0].parent / "bounds.py"
+    for name in ("planar_nx", "planarize_config", "insert_edge"):
+        assert _callers(bounds, name) == [], name
+    imported = {
+        name
+        for node in ast.walk(ast.parse(bounds.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        for name in (getattr(node, "module", None) or "", alias.name)
+    }
+    assert not any("router" in name for name in imported), imported
