@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple, Union
 from .errors import CrossboundError, NotCriticalError
 from .graph import Edge, Graph, automorphisms, delete_edge, min_degree, norm_edge
 from .lightcycle import CycleWitness, light_cycle_general
-from .oracle import CrossingConfig, cr_at_most, crossing_number_from
+from .oracle import CrossingConfig, cr_at_most, crossing_number, extension_witness
 from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_K
 from .skewness import SkewnessCertificate, skewness_exact
 
@@ -207,14 +207,18 @@ def certify_critical_bounds(
     cr is bracketed, not searched afresh. The criticality check exhausted the
     levels below k, so cr(g) >= k. Adding pairs (e0, f) to the witness of
     g - e0 gives k-pair configurations of g, and one that planarizes is a
-    k-crossing drawing: cr(g) = k. Only if none does is g searched, from k.
+    k-crossing drawing: cr(g) = k. Only if none does, or k is above max_k,
+    is cr(g) searched afresh, with the budget errors of that search.
 
     Raises NotCriticalError if g is not k-crossing-critical."""
     found = _critical_witness(g, k, max_k, max_edges)
     if found is None:
         raise NotCriticalError(f"graph is not {k}-crossing-critical")
     delta = min_degree(g)
-    cr = crossing_number_from(g, k, *found, max_k=max_k, max_edges=max_edges)
+    if k <= max_k and extension_witness(g, *found, k) is not None:
+        cr = k
+    else:
+        cr = crossing_number(g, max_k=max_k, max_edges=max_edges)
     cert = skewness_exact(g)
     wit = (light_cycle_general(g, cert.removed, embedding=cert.embedding)
            if delta >= 3 else None)

@@ -116,7 +116,7 @@ def _combo_witness(g: Graph, combo) -> Optional[CrossingConfig]:
     return None
 
 
-def _extension_witness(g: Graph, e0: Edge, wit: CrossingConfig, k: int) -> Optional[CrossingConfig]:
+def extension_witness(g: Graph, e0: Edge, wit: CrossingConfig, k: int) -> Optional[CrossingConfig]:
     """The first planarizing extension of ``wit``, a configuration of
     g - e0, by k - wit.k pairs (e0, f), or None. The edges f, independent of
     e0, are taken in ``itertools.combinations`` order over sorted edges."""
@@ -187,10 +187,10 @@ def _level_witness(
     return walk((), set(), None)
 
 
-def _fewest_crossings(g: Graph, top: int, max_edges: int, start: int = 0) -> Optional[CrossingConfig]:
+def _fewest_crossings(g: Graph, top: int, max_edges: int) -> Optional[CrossingConfig]:
     """The level loop: a planarizing configuration of g with the fewest
-    crossings, searched over levels max(start, skewness_lower_bound(g))..top;
-    None if there is none. The caller vouches that cr(g) >= start.
+    crossings, searched over levels skewness_lower_bound(g)..top; None if
+    there is none.
 
     No lower level can planarize. Deleting one edge per crossing of a
     drawing leaves a planar graph, so cr(g) >= sk(g); and sk(g) is at least
@@ -201,7 +201,7 @@ def _fewest_crossings(g: Graph, top: int, max_edges: int, start: int = 0) -> Opt
         raise BudgetExceededError(f"|E|={g.m} above budget {max_edges}")
     pool = _independent_pairs(g)
     symmetries = functools.cache(lambda: _pool_permutations(g, pool))
-    for level in range(max(start, skewness_lower_bound(g)), top + 1):
+    for level in range(skewness_lower_bound(g), top + 1):
         wit = _level_witness(g, pool, level, symmetries)
         if wit is not None:
             return wit
@@ -227,13 +227,6 @@ def cr_at_most(
     return wit is not None, wit
 
 
-def _component_cr(comp: Graph, start: int, max_k: int, max_edges: int) -> int:
-    wit = _fewest_crossings(comp, max_k, max_edges, start)
-    if wit is None:
-        raise BudgetExceededError("cr exceeds budget on a component", established=f"cr > {max_k}")
-    return wit.k
-
-
 def crossing_number(
     g: Graph,
     max_k: int = DEFAULT_MAX_K,
@@ -244,18 +237,12 @@ def crossing_number(
     Raises BudgetExceededError carrying the established fact cr(g) > max_k
     when the search space is exhausted without a witness.
     """
-    return sum(_component_cr(comp, 0, max_k, max_edges) for comp in components(g))
-
-
-def crossing_number_from(
-    g: Graph, k: int, e0: Edge, wit: CrossingConfig, max_k: int, max_edges: int
-) -> int:
-    """Exact cr(g) for a g shown to have cr(g) >= k, given ``wit``, a
-    planarizing configuration of g - e0 with fewer than k pairs: k, if a
-    k-pair extension of ``wit`` planarizes (it is a k-crossing drawing).
-    Otherwise, or if k > max_k, a connected g is searched from level k and
-    a disconnected one as by ``crossing_number``, with its budget errors."""
-    if k <= max_k and _extension_witness(g, e0, wit, k) is not None:
-        return k
-    parts = components(g)
-    return sum(_component_cr(c, k if len(parts) == 1 else 0, max_k, max_edges) for c in parts)
+    total = 0
+    for comp in components(g):
+        wit = _fewest_crossings(comp, max_k, max_edges)
+        if wit is None:
+            raise BudgetExceededError(
+                "cr exceeds budget on a component", established=f"cr > {max_k}"
+            )
+        total += wit.k
+    return total

@@ -44,6 +44,17 @@ def _callers(path: Path, name: str):
     )
 
 
+def _imported(path: Path):
+    """The modules a source file imports from, and the names it imports."""
+    return {
+        name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        for name in (getattr(node, "module", None) or "", alias.name)
+    }
+
+
 def test_check_planarity_has_three_owners():
     # a yes/no test, a witness, and the one LR test that becomes a rotation system
     found = {path.name: path.read_text().count("check_planarity(") for path in SOURCES}
@@ -82,12 +93,7 @@ def test_light_cycle_runs_no_planarity_test_of_its_own():
     # given or builds: lightcycle embeds only through embedding_of, and
     # only at its two entry points
     lightcycle = SOURCES[0].parent / "lightcycle.py"
-    imported = {
-        alias.name
-        for node in ast.walk(ast.parse(lightcycle.read_text()))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    imported = _imported(lightcycle)
     tests = {"is_planar", "embed_components", "planar_nx", "witness_nx"}
     assert not imported & tests, imported & tests
     assert _callers(lightcycle, "embedding_of") == ["light_cycle_general", "light_cycle_planar"]
@@ -98,7 +104,7 @@ def test_combo_witness_is_called_only_in_the_oracle():
     found = {path.name: path.read_text().count("_combo_witness(") for path in SOURCES}
     assert found["oracle.py"] and not {n: k for n, k in found.items() if k and n != "oracle.py"}
     assert _callers(SOURCES[0].parent / "oracle.py", "_combo_witness") == [
-        "_extension_witness", "_level_witness"]
+        "_level_witness", "extension_witness"]
 
 
 def test_bounds_builds_no_planarization():
@@ -106,11 +112,5 @@ def test_bounds_builds_no_planarization():
     bounds = SOURCES[0].parent / "bounds.py"
     for name in ("planar_nx", "planarize_config", "insert_edge"):
         assert _callers(bounds, name) == [], name
-    imported = {
-        name
-        for node in ast.walk(ast.parse(bounds.read_text()))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-        for name in (getattr(node, "module", None) or "", alias.name)
-    }
+    imported = _imported(bounds)
     assert not any("router" in name for name in imported), imported
