@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
@@ -156,23 +157,48 @@ def contract_edges(g: Graph, contract: Iterable[Edge]) -> Tuple[Graph, Dict[int,
     return Graph(set(mapping.values()), edges), mapping
 
 
-def is_bipartite(g: Graph) -> bool:
-    """Whether g has a proper two-colouring, component by component."""
-    colour: Dict[int, int] = {}
-    for root in g.vertices:
-        if root in colour:
+def girth(g: Graph, enough: float = 0) -> float:
+    """The length of a shortest cycle of g, math.inf for a forest; or, once
+    a cycle of length at most ``enough`` is found, that cycle's length.
+
+    A triangle is looked for first, lazily: each edge is tried from its
+    lower-degree end against the neighbour set of the other end, which is
+    built when first needed, so on a triangulation the first edges tried
+    find one. Then a breadth-first search from each vertex of degree >= 3
+    finds the shortest cycle through it that is shorter than the best so
+    far, stopping at the depth where none can close. A cycle through no
+    such vertex is a whole component in which every degree is 2, and its
+    length is that component's order.
+    """
+    adj = g._adj
+    sets: Dict[int, set] = {}
+    for u, nbrs in adj.items():
+        for v in nbrs:
+            if (len(nbrs), u) < (len(adj[v]), v):
+                far = sets.get(v) or sets.setdefault(v, set(adj[v]))
+                if any(w in far for w in nbrs):
+                    return 3
+    roots = component_roots(adj, g.edges())
+    branched = {r for v, r in roots.items() if len(adj[v]) != 2}
+    rings = Counter(r for r in roots.values() if r not in branched)  # components that are cycles
+    best = min(rings.values(), default=math.inf)
+    for root, nbrs in adj.items():
+        if best <= max(enough, 4):  # no triangle: 4 is the least left
+            return best
+        if len(nbrs) < 3:
             continue
-        colour[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in colour:
-                    colour[w] = 1 - colour[v]
-                    stack.append(w)
-                elif colour[w] == colour[v]:
-                    return False
-    return True
+        depth, parent, frontier = {root: 0}, {root: None}, [root]
+        while frontier and 2 * depth[frontier[0]] + 1 < best:
+            ahead = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in depth:
+                        depth[y], parent[y] = depth[x] + 1, x
+                        ahead.append(y)
+                    elif y != parent[x]:
+                        best = min(best, depth[x] + depth[y] + 1)
+            frontier = ahead
+    return best
 
 
 # Most automorphisms listed by automorphisms(); K4,4 has 1152.

@@ -8,13 +8,17 @@ replace each crossing by a degree-4 dummy vertex, and planarity-test the
 result. The graph has a drawing with at most k crossings iff some such
 configuration planarizes.
 
-Three proven rules skip only what cannot planarize: the level loop starts
-at the skewness lower bound; a configuration whose planarization without
-its multiply-crossed edges is non-planar is dropped before any order is
-tried; and within a level, once every configuration containing some pairs
-P and q has failed, so has every one containing P and s(q), for each
-automorphism s of the graph that fixes every pair of P. Exhaustive
-otherwise; budgets keep it at desk scale.
+Proven rules skip only what cannot planarize: the level loop starts at the
+skewness lower bound; within a level, a configuration is cut as soon as its
+pairs touch a vertex v more than k - lb(g - v) times or contain an edge e
+more than k - lb(g - e) times (deleting v or e from its drawing leaves a
+drawing of g - v or g - e with only the other crossings; the lb are the
+girth-aware edge-count bounds of skewness.edge_count_bound); a
+configuration whose planarization without its multiply-crossed edges is
+non-planar is dropped before any order is tried; and once every
+configuration containing some pairs P and q has failed, so has every one
+containing P and s(q), for each automorphism s of the graph that fixes
+every pair of P. Exhaustive otherwise; budgets keep it at desk scale.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import networkx as nx
 
 from .embedding import planar_nx
 from .errors import BudgetExceededError
-from .graph import Edge, Graph, automorphisms, components, norm_edge
-from .skewness import skewness_lower_bound
+from .graph import Edge, Graph, automorphisms, components, girth, norm_edge
+from .skewness import edge_count_bound, skewness_lower_bound
 
 DEFAULT_MAX_K = 4
 DEFAULT_MAX_EDGES = 20
@@ -141,8 +145,29 @@ def _pool_permutations(g: Graph, pool: List[Pair]) -> List[Tuple[int, ...]]:
     return perms
 
 
+def _deletion_bounds(g: Graph) -> Tuple[Dict[int, int], int]:
+    """Lower bounds on cr(g - v), for each vertex v that has an edge, and on
+    cr(g - e), one for every edge e.
+
+    cr >= sk, and each is skewness.edge_count_bound of the smaller graph's
+    vertex and edge counts with the girth of g: deleting a vertex or an
+    edge destroys cycles and makes none, so the girth can only rise, and a
+    higher girth only raises the bound. (A girth of g is at most n, within
+    the bound's range for n - 1 >= 3 vertices.)
+    """
+    n, m, gamma = g.n, g.m, girth(g)
+    vertex_lb = {
+        v: edge_count_bound(n - 1, m - g.degree(v), gamma) for v in g.vertices if g.degree(v)
+    }
+    return vertex_lb, edge_count_bound(n, m - 1, gamma)
+
+
 def _level_witness(
-    g: Graph, pool: List[Pair], k: int, symmetries: Callable[[], List[Tuple[int, ...]]]
+    g: Graph,
+    pool: List[Pair],
+    k: int,
+    symmetries: Callable[[], List[Tuple[int, ...]]],
+    deletion_bounds: Tuple[Dict[int, int], int],
 ) -> Optional[CrossingConfig]:
     """First (lexicographic) k-pair configuration whose planarization is
     planar, or None.
@@ -151,20 +176,49 @@ def _level_witness(
     order, as a tree over their prefixes; a prefix's dead indices are
     skipped in its whole subtree. ``symmetries()`` lists automorphisms of g
     as permutations of pool indices, and is asked only once a configuration
-    has failed. Only k-sets that cannot planarize are skipped, so the first
-    witness is the one the flat loop finds, for any list of automorphisms;
-    the identity alone gives the flat loop.
+    has failed. ``deletion_bounds`` is _deletion_bounds(g). Only k-sets
+    that cannot planarize are skipped, so the first witness is the one the
+    flat loop finds, for any list of automorphisms; the identity alone and
+    the bounds ({}, 0), which cut nothing, give the flat loop.
 
-    The rule: let the subtree of prefix P + (q) be exhausted with no
-    witness. Every k-set S containing P and q then fails: the i-th least
+    The counting rules: let a k-set S planarize g. A plane embedding of its
+    planarization draws g with at most k crossings, one at each pair of S
+    (a dummy where the chains only touch is not one). Deleting v with its
+    edges draws g - v with at most the pairs of S that do not touch v, so
+    S has at most k - lb(g - v) pairs that touch v; deleting an edge e the
+    same way, at most k - lb(g - e) pairs that contain e. A prefix with
+    more is dead with its whole subtree, as its counts only grow: for v,
+    this is (its pairs avoiding v) + (slots left) < lb(g - v). A level
+    where some k - lb(g - v) is negative has no witness at all.
+
+    The symmetry rule: let the subtree of prefix P + (q) be exhausted with
+    no witness. Every k-set S containing P and q then fails: the i-th least
     element of S is at most the i-th least of P + (q), so S lies in that
     subtree or before it, and everything before it has failed or was
-    skipped as failing. Let the automorphism s fix every pair of P. A k-set
-    containing P and s(q) is the image under s of one containing P and q,
-    and its planarization (under the image orders) is isomorphic; every
-    order is tried, so it fails too. So s(q) is dead in the rest of P's
-    subtree.
+    skipped as failing, by either rule (a subtree the counting rules cut
+    is exhausted in this sense). Let the automorphism s fix every pair of
+    P. A k-set containing P and s(q) is the image under s of one
+    containing P and q, and its planarization (under the image orders) is
+    isomorphic; every order is tried, so it fails too. So s(q) is dead in
+    the rest of P's subtree.
     """
+    vertex_lb, edge_lb = deletion_bounds
+    room = {v: k - lb for v, lb in vertex_lb.items()}  # most pairs that may touch v
+    if min(room.values(), default=0) < 0:
+        return None
+    edge_room = k - edge_lb  # most pairs that may contain one edge
+    touching = dict.fromkeys(room, 0)
+    containing = dict.fromkeys(g.edges(), 0)
+
+    def fits(pair: Pair) -> bool:
+        return all(containing[e] < edge_room for e in pair) and all(
+            touching[v] < room[v] for e in pair for v in e)
+
+    def count(pair: Pair, step: int):
+        for e in pair:
+            containing[e] += step
+            for v in e:
+                touching[v] += step
 
     def walk(prefix: Tuple[int, ...], dead: set, perms) -> Optional[CrossingConfig]:
         # perms: the listed automorphisms fixing every index of prefix, or
@@ -173,10 +227,12 @@ def _level_witness(
             return _combo_witness(g, [pool[i] for i in prefix])
         dead = set(dead)
         for q in range(prefix[-1] + 1 if prefix else 0, len(pool) - k + len(prefix) + 1):
-            if q in dead:
+            if q in dead or not fits(pool[q]):
                 continue
             fixing_q = None if perms is None else [p for p in perms if p[q] == q]
+            count(pool[q], 1)
             wit = walk(prefix + (q,), dead, fixing_q)
+            count(pool[q], -1)
             if wit is not None:
                 return wit
             if perms is None:
@@ -193,16 +249,16 @@ def _fewest_crossings(g: Graph, top: int, max_edges: int) -> Optional[CrossingCo
     there is none.
 
     No lower level can planarize. Deleting one edge per crossing of a
-    drawing leaves a planar graph, so cr(g) >= sk(g); and sk(g) is at least
-    m - (3n - 6), or m - (2n - 4) for bipartite g, since a (bipartite)
-    planar graph on n >= 3 vertices, connected or not, has no more edges.
+    drawing leaves a planar graph, so cr(g) >= sk(g), and
+    skewness_lower_bound(g) <= sk(g).
     """
     if g.m > max_edges:
         raise BudgetExceededError(f"|E|={g.m} above budget {max_edges}")
     pool = _independent_pairs(g)
     symmetries = functools.cache(lambda: _pool_permutations(g, pool))
+    deletion_bounds = _deletion_bounds(g)
     for level in range(skewness_lower_bound(g), top + 1):
-        wit = _level_witness(g, pool, level, symmetries)
+        wit = _level_witness(g, pool, level, symmetries, deletion_bounds)
         if wit is not None:
             return wit
     return None

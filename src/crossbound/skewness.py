@@ -14,6 +14,7 @@ in that embedding rather than testing or embedding the same graph again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Optional
 
@@ -21,7 +22,7 @@ import networkx as nx
 
 from .embedding import Embeddings, embed_components, is_planar, planar_nx, witness_nx
 from .errors import CrossboundError
-from .graph import Edge, Graph, delete_edges, is_bipartite
+from .graph import Edge, Graph, delete_edges, girth
 
 
 @dataclass(frozen=True)
@@ -58,15 +59,40 @@ def _certified(g: Graph, removed: Iterable[Edge], exact: bool) -> SkewnessCertif
     return SkewnessCertificate(len(removed), removed, exact, embedding)
 
 
-def skewness_lower_bound(g: Graph) -> int:
-    """Edge-count lower bound: |E| - (3|V| - 6), refined to |E| - (2|V| - 4)
-    for bipartite graphs."""
-    if g.n < 3:
+def edge_count_bound(n: int, m: int, gamma: float) -> int:
+    """m - floor(gamma (n - 2) / (gamma - 2)), and 0 when that is negative,
+    when n < 3 or when gamma is math.inf: a lower bound on the skewness of
+    every graph with n vertices, m edges and girth at least gamma, for
+    3 <= gamma <= 2n - 2.
+
+    Proof: let R planarize such a graph G. G - R is planar with girth at
+    least gamma. Join its components by bridges, which close no cycle; the
+    result H is planar with the same n. If H is a tree it has n - 1 edges,
+    at most gamma (n - 2) / (gamma - 2) because gamma <= 2n - 2. Otherwise
+    every face of a plane drawing of H is bounded by a walk that contains a
+    cycle, so of length at least gamma; the walks use every edge twice, so
+    2|E(H)| >= gamma f, and Euler's f = |E(H)| - n + 2 gives
+    |E(H)| <= gamma (n - 2) / (gamma - 2). Hence |R| >= m - |E(H)| is the
+    bound.
+    """
+    if n < 3 or gamma == math.inf:
         return 0
-    lb = g.m - (3 * g.n - 6)
-    if is_bipartite(g):
-        lb = max(lb, g.m - (2 * g.n - 4))
-    return max(0, lb)
+    return max(0, m - gamma * (n - 2) // (gamma - 2))
+
+
+def skewness_lower_bound(g: Graph) -> int:
+    """edge_count_bound with the girth of g: |E| - (3|V| - 6) in general,
+    |E| - (2|V| - 4) without triangles, and so on (a girth is at most
+    |V|, so the bound applies).
+
+    The bound is 0 as soon as g has a cycle of length at most
+    2m / (m - n + 2), so the girth search stops at the first one; and it
+    is 0 whatever the girth when m <= n - 2, so then there is no search.
+    """
+    n, m = g.n, g.m
+    if m <= n - 2:
+        return 0
+    return edge_count_bound(n, m, girth(g, enough=2 * m / (m - n + 2)))
 
 
 def _search(gn: nx.Graph, depth: int, banned: frozenset) -> Optional[List[Edge]]:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import networkx as nx
@@ -16,7 +17,7 @@ from crossbound.graph import (
     contract_edges,
     delete_edge,
     delete_edges,
-    is_bipartite,
+    girth,
     min_degree,
     parse_graph,
     serialize_graph,
@@ -211,18 +212,35 @@ def test_graph_equality_and_immutability():
     assert a != Graph(range(3), [(0, 2)])
 
 
-def test_is_bipartite_matches_networkx():
+def test_girth_matches_networkx():
     rng = random.Random(61)
-    graphs = [Graph(), Graph([0]), Graph(range(4), [(0, 1), (2, 3)])]
+    graphs = [Graph(), Graph([0]), Graph(range(4), [(0, 1), (2, 3)]), named("petersen"),
+              complete_bipartite(3, 4), named("cube")]
     for _ in range(120):
         n = rng.randint(1, 12)
         # sparse, so many are disconnected forests and have isolated vertices
         h = nx.gnm_random_graph(n, rng.randint(0, 2 * n), seed=rng.randrange(10**9))
         graphs.append(Graph.from_networkx(h))
-    graphs.append(Graph.from_networkx(nx.disjoint_union(nx.cycle_graph(6), nx.cycle_graph(5))))
-    assert any(is_bipartite(g) for g in graphs) and not all(is_bipartite(g) for g in graphs)
+    for h in (nx.disjoint_union(nx.cycle_graph(6), nx.cycle_graph(5)),
+              nx.disjoint_union(nx.cycle_graph(4), nx.star_graph(5)),
+              nx.disjoint_union(nx.cycle_graph(9), nx.petersen_graph())):
+        graphs.append(Graph.from_networkx(h))
+    for _ in range(40):
+        # random subdivisions: long cycles through vertices of degree 2
+        h = nx.gnm_random_graph(6, rng.randint(5, 12), seed=rng.randrange(10**9))
+        for u, v in list(h.edges()):
+            if rng.random() < 0.7:
+                h.remove_edge(u, v)
+                nx.add_path(h, [u, *(h.number_of_nodes() + i for i in range(rng.randint(1, 4))), v])
+        graphs.append(Graph.from_networkx(h))
+    assert {3, 4, 5, math.inf} <= {girth(g) for g in graphs}
     for g in graphs:
-        assert is_bipartite(g) == nx.is_bipartite(g.to_networkx()), g.edges()
+        expected = nx.girth(g.to_networkx())
+        assert girth(g) == expected, g.edges()
+        for enough in (4, 6, 9):
+            # stops at some cycle of length <= enough, if there is one
+            found = girth(g, enough)
+            assert found == expected or expected <= found <= enough, (g.edges(), enough)
 
 
 def _matcher_automorphisms(g: Graph):

@@ -13,6 +13,7 @@ from oracles import flat_level_witness, some_order_planarizes
 from crossbound import graph, oracle
 from crossbound.oracle import (
     _combo_witness,
+    _deletion_bounds,
     _independent_pairs,
     _level_witness,
     _pool_permutations,
@@ -32,8 +33,14 @@ def test_ground_truths(k4, k5, k6, k33, petersen):
     assert crossing_number(complete_bipartite(2, 5)) == 0  # planar
 
 
-def test_k44():
+def test_k44(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "planar_nx", lambda gn: calls.append(gn) or planar_nx(gn))
     assert crossing_number(complete_bipartite(4, 4)) == 4
+    # 3795 before the counting rules: each vertex of K4,4 - v (girth 4,
+    # 12 edges on 7 vertices) forces 2 crossings, so at level 4 a vertex
+    # touches at most 2 pairs
+    assert len(calls) == 7
 
 
 def test_planar_graphs_are_zero():
@@ -196,17 +203,18 @@ def level_cases():
 
 @pytest.mark.parametrize("cap", [None, 1, 2, 7])
 def test_pruned_levels_match_the_flat_loop(monkeypatch, level_cases, cap):
-    # the rule is sound for any list of automorphisms: cut to its first
-    # entries (the identity alone is the flat loop), the walk skips less
-    # but finds the same configuration
+    # the symmetry rule is sound for any list of automorphisms: cut to its
+    # first entries, the walk skips less but finds the same configuration;
+    # the counting rules skip a configuration only when they prove it fails
     if cap is not None:
         monkeypatch.setattr(graph, "MAX_AUTOMORPHISMS", cap)
     for g, pool, expected in level_cases:
         # a graph keeps the list it made first: a fresh copy lists under this cap
         g = Graph(g.vertices, g.edges())
         symmetries = functools.cache(lambda: _pool_permutations(g, pool))
+        bounds = _deletion_bounds(g)
         for level, wit in enumerate(expected):
-            assert _level_witness(g, pool, level, symmetries) == wit, (g.edges(), level)
+            assert _level_witness(g, pool, level, symmetries, bounds) == wit, (g.edges(), level)
         assert cap is None or len(graph.automorphisms(g)) <= cap
 
 

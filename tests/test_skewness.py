@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -9,7 +10,7 @@ from crossbound.embedding import is_planar
 from crossbound.errors import CrossboundError
 from crossbound.generators import (complete, complete_bipartite, planar_plus,
                                    random_maximal_planar)
-from crossbound.graph import Graph, delete_edges
+from crossbound.graph import MAX_GRAPH_SIZE, Graph, delete_edges
 from crossbound.skewness import (
     planar_subgraph_heuristic,
     skewness_exact,
@@ -31,8 +32,9 @@ def test_lower_bound_examples(k4, k5, k6, k33, petersen):
     assert skewness_lower_bound(k4) == 0
     assert skewness_lower_bound(k5) == 1
     assert skewness_lower_bound(k6) == 3
-    assert skewness_lower_bound(k33) == 1  # bipartite refinement: 9 - 8
-    assert skewness_lower_bound(petersen) == 0  # counting says nothing here
+    assert skewness_lower_bound(k33) == 1  # girth 4: 9 - 8
+    assert skewness_lower_bound(petersen) == 2  # girth 5: 15 - floor(5 * 8 / 3)
+    assert skewness_lower_bound(complete_bipartite(4, 4)) == 4  # 16 - 12
 
 
 def test_exact_small_complete_graphs(k4, k5, k6):
@@ -83,18 +85,77 @@ def test_heuristic_upper_bounds_exact():
         assert heur.value >= skewness_exact(g).value
 
 
-def test_budget_exhaustion_falls_back_to_heuristic(petersen):
-    # the counting lower bound for the Petersen graph is 0, so a budget of 1
-    # is legal but too small: the heuristic certificate comes back untagged
-    cert = skewness_exact(petersen, budget=1)
+def test_budget_exhaustion_falls_back_to_heuristic():
+    # the counting lower bound for two disjoint K5s is 20 - 24 < 0, so a
+    # budget of 1 is legal but too small: the heuristic certificate comes
+    # back untagged
+    two_k5 = Graph.from_networkx(nx.disjoint_union(nx.complete_graph(5), nx.complete_graph(5)))
+    assert skewness_lower_bound(two_k5) == 0
+    cert = skewness_exact(two_k5, budget=1)
     assert not cert.exact
-    assert cert.verify(petersen)
+    assert cert.verify(two_k5)
     assert cert.value >= 2
 
 
-def test_budget_below_lower_bound_rejected(k6):
+def _triangle_free(n: int, m: int, rng: random.Random) -> Graph:
+    """Up to m random edges on n vertices, each kept only if it closes no
+    triangle."""
+    h = nx.empty_graph(n)
+    for u, v in rng.sample(list(itertools.combinations(range(n), 2)), n * (n - 1) // 2):
+        if h.number_of_edges() < m and not set(h[u]) & set(h[v]):
+            h.add_edge(u, v)
+    return Graph.from_networkx(h)
+
+
+def test_girth_bound_is_sound_on_triangle_free_graphs():
+    # the bound with girth >= 4 is m - (2n - 4), bipartite or not; with
+    # girth 5, as on the Petersen graph, it is higher still
+    rng = random.Random(44)
+    raised = 0
+    for _ in range(40):
+        n = rng.randint(6, 9)
+        g = _triangle_free(n, rng.randint(2 * n - 4, 2 * n + 2), rng)
+        bipartite = nx.is_bipartite(g.to_networkx())
+        old = max(0, g.m - (2 * n - 4 if bipartite else 3 * n - 6))
+        assert old <= skewness_lower_bound(g) <= brute_force_skewness(g) == skewness_exact(g).value
+        raised += skewness_lower_bound(g) > old
+    assert raised > 0
+
+
+def _subdivided(base, length: int) -> Graph:
+    """``base``'s edges, on ids 0.., each replaced by a path of ``length``
+    edges."""
+    edges, fresh = [], max(map(max, base)) + 1
+    for u, v in base:
+        path = [u, *range(fresh, fresh + length - 1), v]
+        fresh += length - 1
+        edges += zip(path, path[1:])
+    return Graph(range(fresh), edges)
+
+
+@pytest.mark.parametrize("name", ["C2000", "K3,3 subdivided", "K5 subdivided"])
+def test_lower_bound_is_fast_on_long_cycles(name):
+    # a breadth-first search from every vertex takes seconds on each. The
+    # cycle is read off its component, with no search (m = n, so any cycle
+    # makes the bound 0); the subdivisions search from their branch vertices
+    ring = range(MAX_GRAPH_SIZE)
+    g, bound = {
+        "C2000": (Graph(ring, [(i, (i + 1) % len(ring)) for i in ring]), 0),
+        # girth 888 > 2m / (m - n + 2) = 799.2: the girth is needed exactly
+        "K3,3 subdivided": (_subdivided(complete_bipartite(3, 3).edges(), 222), 1),
+        "K5 subdivided": (_subdivided(complete(5).edges(), 200), 1),
+    }[name]
+    assert max(g.n, g.m) <= MAX_GRAPH_SIZE and g.n > 1990
+    start = time.perf_counter()
+    assert skewness_lower_bound(g) == bound
+    assert time.perf_counter() - start < 1.0
+
+
+def test_budget_below_lower_bound_rejected(k6, petersen):
     with pytest.raises(CrossboundError):
         skewness_exact(k6, budget=2)
+    with pytest.raises(CrossboundError):
+        skewness_exact(petersen, budget=1)  # girth 5: the bound is 2
 
 
 def test_disconnected_graph():
