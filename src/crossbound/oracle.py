@@ -179,7 +179,7 @@ def _level_witness(
     has failed. ``deletion_bounds`` is _deletion_bounds(g). Only k-sets
     that cannot planarize are skipped, so the first witness is the one the
     flat loop finds, for any list of automorphisms; the identity alone and
-    the bounds ({}, 0), which cut nothing, give the flat loop.
+    bounds of 0, which cut nothing, give the flat loop.
 
     The counting rules: let a k-set S planarize g. A plane embedding of its
     planarization draws g with at most k crossings, one at each pair of S
