@@ -44,11 +44,7 @@ class SqrtExpr:
 
     def __ge__(self, other) -> bool:
         # self >= q  <=>  coeff*sqrt(r) >= q - rational
-        q = Fraction(other)
-        exact = self.exact()
-        if exact is not None:
-            return exact >= q
-        rhs = q - self.rational
+        rhs = Fraction(other) - self.rational
         lhs_sq = self.coeff * self.coeff * self.radicand  # (coeff*sqrt(r))^2
         if self.coeff >= 0:
             return rhs <= 0 or lhs_sq >= rhs * rhs

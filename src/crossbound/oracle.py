@@ -18,15 +18,16 @@ configuration whose planarization without its multiply-crossed edges is
 non-planar is dropped before any order is tried; and once every
 configuration containing some pairs P and q has failed, so has every one
 containing P and s(q), for each automorphism s of the graph that fixes
-every pair of P. Exhaustive otherwise; budgets keep it at desk scale.
+every pair of P (the vertex maps of graph.automorphisms, through which a
+pair is mapped only when its image is needed). Exhaustive otherwise;
+budgets keep it at desk scale.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
@@ -129,22 +130,6 @@ def extension_witness(g: Graph, e0: Edge, wit: CrossingConfig, k: int) -> Option
     return next(filter(None, (_combo_witness(g, sorted(wit.pairs.union(c))) for c in combos)), None)
 
 
-def _pool_permutations(g: Graph, pool: List[Pair]) -> List[Tuple[int, ...]]:
-    """The automorphisms of g, the identity first, as permutations of the
-    indices of ``pool``: entry i is the index of the image of pool[i]."""
-    edges = g.edges()
-    eid = {e: i for i, e in enumerate(edges)}
-    ends = [(eid[e], eid[f]) for e, f in pool]
-    pair_at = [[-1] * len(edges) for _ in edges]  # pair_at[a][b]: index of pair {a, b}
-    for i, (a, b) in enumerate(ends):
-        pair_at[a][b] = pair_at[b][a] = i
-    perms = []
-    for s in automorphisms(g):
-        image = [eid[norm_edge(s[u], s[v])] for u, v in edges]
-        perms.append(tuple([pair_at[image[a]][image[b]] for a, b in ends]))
-    return perms
-
-
 def _deletion_bounds(g: Graph) -> Tuple[Dict[int, int], int]:
     """Lower bounds on cr(g - v), for each vertex v that has an edge, and on
     cr(g - e), one for every edge e.
@@ -162,24 +147,17 @@ def _deletion_bounds(g: Graph) -> Tuple[Dict[int, int], int]:
     return vertex_lb, edge_count_bound(n, m - 1, gamma)
 
 
-def _level_witness(
-    g: Graph,
-    pool: List[Pair],
-    k: int,
-    symmetries: Callable[[], List[Tuple[int, ...]]],
-    deletion_bounds: Tuple[Dict[int, int], int],
-) -> Optional[CrossingConfig]:
+def _level_witness(g: Graph, k: int) -> Optional[CrossingConfig]:
     """First (lexicographic) k-pair configuration whose planarization is
     planar, or None.
 
-    The k-subsets of ``pool`` are walked in ``itertools.combinations``
-    order, as a tree over their prefixes; a prefix's dead indices are
-    skipped in its whole subtree. ``symmetries()`` lists automorphisms of g
-    as permutations of pool indices, and is asked only once a configuration
-    has failed. ``deletion_bounds`` is _deletion_bounds(g). Only k-sets
-    that cannot planarize are skipped, so the first witness is the one the
-    flat loop finds, for any list of automorphisms; the identity alone and
-    bounds of 0, which cut nothing, give the flat loop.
+    The k-subsets of the independent pairs are walked in
+    ``itertools.combinations`` order, as a tree over their prefixes; a
+    prefix's dead pairs are skipped in its whole subtree. The automorphisms
+    of g (``graph.automorphisms``) are read only once a configuration has
+    failed, and a pair's image under one is computed when it is needed.
+    Only k-sets that cannot planarize are skipped, so the first witness is
+    the one the flat loop finds, for any list of automorphisms.
 
     The counting rules: let a k-set S planarize g. A plane embedding of its
     planarization draws g with at most k crossings, one at each pair of S
@@ -202,13 +180,21 @@ def _level_witness(
     isomorphic; every order is tried, so it fails too. So s(q) is dead in
     the rest of P's subtree.
     """
-    vertex_lb, edge_lb = deletion_bounds
+    vertex_lb, edge_lb = _deletion_bounds(g)
     room = {v: k - lb for v, lb in vertex_lb.items()}  # most pairs that may touch v
     if min(room.values(), default=0) < 0:
         return None
     edge_room = k - edge_lb  # most pairs that may contain one edge
     touching = dict.fromkeys(room, 0)
     containing = dict.fromkeys(g.edges(), 0)
+    pool = _independent_pairs(g)
+    index = {pair: i for i, pair in enumerate(pool)}
+
+    def image(s: Dict[int, int], q: int) -> int:
+        # the index of the pair pool[q] maps to under s
+        (a, b), (c, d) = pool[q]
+        e, f = norm_edge(s[a], s[b]), norm_edge(s[c], s[d])
+        return index[(e, f) if e < f else (f, e)]
 
     def fits(pair: Pair) -> bool:
         return all(containing[e] < edge_room for e in pair) and all(
@@ -220,8 +206,8 @@ def _level_witness(
             for v in e:
                 touching[v] += step
 
-    def walk(prefix: Tuple[int, ...], dead: set, perms) -> Optional[CrossingConfig]:
-        # perms: the listed automorphisms fixing every index of prefix, or
+    def walk(prefix: Tuple[int, ...], dead: set, maps) -> Optional[CrossingConfig]:
+        # maps: the listed automorphisms fixing every pair of prefix, or
         # None until this walk needs them
         if len(prefix) == k:
             return _combo_witness(g, [pool[i] for i in prefix])
@@ -229,15 +215,15 @@ def _level_witness(
         for q in range(prefix[-1] + 1 if prefix else 0, len(pool) - k + len(prefix) + 1):
             if q in dead or not fits(pool[q]):
                 continue
-            fixing_q = None if perms is None else [p for p in perms if p[q] == q]
+            fixing_q = None if maps is None else [s for s in maps if image(s, q) == q]
             count(pool[q], 1)
             wit = walk(prefix + (q,), dead, fixing_q)
             count(pool[q], -1)
             if wit is not None:
                 return wit
-            if perms is None:
-                perms = [p for p in symmetries() if all(p[i] == i for i in prefix)]
-            dead.update(p[q] for p in perms)
+            if maps is None:
+                maps = [s for s in automorphisms(g) if all(image(s, i) == i for i in prefix)]
+            dead.update(image(s, q) for s in maps)
         return None
 
     return walk((), set(), None)
@@ -254,11 +240,8 @@ def _fewest_crossings(g: Graph, top: int, max_edges: int) -> Optional[CrossingCo
     """
     if g.m > max_edges:
         raise BudgetExceededError(f"|E|={g.m} above budget {max_edges}")
-    pool = _independent_pairs(g)
-    symmetries = functools.cache(lambda: _pool_permutations(g, pool))
-    deletion_bounds = _deletion_bounds(g)
     for level in range(skewness_lower_bound(g), top + 1):
-        wit = _level_witness(g, pool, level, symmetries, deletion_bounds)
+        wit = _level_witness(g, level)
         if wit is not None:
             return wit
     return None

@@ -145,9 +145,10 @@ def skewness_exact(g: Graph, budget: Optional[int] = None) -> SkewnessCertificat
         embedding = embed_components(g)
         if embedding is not None:
             return SkewnessCertificate(0, frozenset(), True, embedding)
-    gn = g.to_networkx()
     for size in range(max(lb, 1), budget + 1):
-        found = _search(gn, size, frozenset())
+        # a fresh copy per size: _search's remove and re-add reorders the
+        # adjacency, which would make the certificate depend on failed sizes
+        found = _search(g.to_networkx(), size, frozenset())
         if found is not None:
             return _certified(g, found, exact=True)
     return planar_subgraph_heuristic(g)

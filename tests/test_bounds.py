@@ -95,6 +95,26 @@ def test_sqrt_expr_comparisons_are_exact():
     assert shifted >= 4 and not shifted >= 5
 
 
+def test_sqrt_expr_comparisons_on_a_grid():
+    # squaring is exact in rationals, perfect-square radicands included:
+    # there the value is rational + coeff * isqrt(r), elsewhere irrational,
+    # so a float reference is safe away from q
+    qs = [Fraction(i, 6) for i in range(-42, 43)]
+    for r in range(17):
+        root = math.isqrt(r)
+        for rational in (Fraction(0), Fraction(5, 2), Fraction(-3)):
+            for coeff in (Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-1, 3)):
+                expr = SqrtExpr(rational, coeff, r)
+                for q in qs:
+                    if root * root == r:
+                        expected = rational + coeff * root >= q
+                    else:
+                        assert abs(float(expr) - q) > 1e-9
+                        expected = float(expr) >= q
+                    assert (expr >= q) == expected, (r, rational, coeff, q)
+                    assert (expr < q) != expected
+
+
 def test_sqrt_expr_exact_detection():
     assert SqrtExpr(Fraction(1), Fraction(2), 9).exact() == 7
     assert SqrtExpr(Fraction(1), Fraction(2), 8).exact() is None

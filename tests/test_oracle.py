@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -13,10 +12,8 @@ from oracles import flat_level_witness, some_order_planarizes
 from crossbound import graph, oracle
 from crossbound.oracle import (
     _combo_witness,
-    _deletion_bounds,
     _independent_pairs,
     _level_witness,
-    _pool_permutations,
     cr_at_most,
     crossing_number,
     planarize_config,
@@ -192,7 +189,7 @@ def _level_cases():
         expected = [None]
         while expected[-1] is None:
             expected.append(flat_level_witness(g, pool, len(expected) - 1))
-        cases.append((g, pool, expected[1:]))
+        cases.append((g, expected[1:]))
     return cases
 
 
@@ -208,14 +205,25 @@ def test_pruned_levels_match_the_flat_loop(monkeypatch, level_cases, cap):
     # the counting rules skip a configuration only when they prove it fails
     if cap is not None:
         monkeypatch.setattr(graph, "MAX_AUTOMORPHISMS", cap)
-    for g, pool, expected in level_cases:
+    for g, expected in level_cases:
         # a graph keeps the list it made first: a fresh copy lists under this cap
         g = Graph(g.vertices, g.edges())
-        symmetries = functools.cache(lambda: _pool_permutations(g, pool))
-        bounds = _deletion_bounds(g)
         for level, wit in enumerate(expected):
-            assert _level_witness(g, pool, level, symmetries, bounds) == wit, (g.edges(), level)
+            assert _level_witness(g, level) == wit, (g.edges(), level)
         assert cap is None or len(graph.automorphisms(g)) <= cap
+
+
+@pytest.mark.parametrize("cap, tests", [(None, 9), (1, 131)], ids=["all", "identity"])
+def test_symmetry_rule_prunes_two_disjoint_k5s(monkeypatch, cap, tests):
+    # witness equality cannot see a walk that prunes less: pin the work.
+    # Level 1 fails (cr = 2); with the identity alone nothing is mapped
+    if cap is not None:
+        monkeypatch.setattr(graph, "MAX_AUTOMORPHISMS", cap)
+    calls = []
+    monkeypatch.setattr(oracle, "planar_nx", lambda gn: calls.append(gn) or planar_nx(gn))
+    g = Graph.from_networkx(nx.disjoint_union(nx.complete_graph(5), nx.complete_graph(5)))
+    assert cr_at_most(g, 1) == (False, None)
+    assert len(calls) == tests
 
 
 def test_symmetries_are_asked_only_after_a_failure(monkeypatch, k5):

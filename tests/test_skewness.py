@@ -97,6 +97,18 @@ def test_budget_exhaustion_falls_back_to_heuristic():
     assert cert.value >= 2
 
 
+def test_certificate_does_not_depend_on_failed_sizes(monkeypatch):
+    # the search edits its graph in place; each size starts from a fresh
+    # copy, so searching sizes 1 and 2 first does not move the size-3 set
+    edges = [(int(a), int(b)) for a, b in
+             "02 04 05 06 12 14 15 18 23 27 34 35 38 47 57 67 68".split()]
+    cert = skewness_exact(Graph(range(9), edges))
+    assert cert.value == 3 and cert.exact
+    assert cert.removed == {(1, 4), (2, 7), (6, 8)}
+    monkeypatch.setattr(skewness, "skewness_lower_bound", lambda g: 1)
+    assert skewness_exact(Graph(range(9), edges)).removed == cert.removed
+
+
 def _triangle_free(n: int, m: int, rng: random.Random) -> Graph:
     """Up to m random edges on n vertices, each kept only if it closes no
     triangle."""

@@ -114,3 +114,19 @@ def test_bounds_builds_no_planarization():
         assert _callers(bounds, name) == [], name
     imported = _imported(bounds)
     assert not any("router" in name for name in imported), imported
+
+
+def test_automorphisms_have_one_format():
+    # symmetries are vertex maps, read from the list kept on the graph: the
+    # edge orbits of critical and the oracle's level walk map through them,
+    # and no module re-encodes them as permutations of pair indices
+    callers = {path.name: _callers(path, "automorphisms") for path in SOURCES}
+    assert {name: found for name, found in callers.items() if found} == {
+        "bounds.py": ["_critical_witness"], "oracle.py": ["_level_witness"]}, callers
+    tables = [
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and "permutation" in node.name
+    ]
+    assert SOURCES and not tables, tables
