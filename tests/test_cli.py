@@ -103,8 +103,8 @@ def test_oracle_budget_exit_code(runner):
 
 
 def test_critical_bracket_keeps_the_k_budget(runner):
-    # K6 - e has a 2-crossing witness that extends to a 3-crossing drawing
-    # of K6, but k = 3 is above max_k = 2, so the budget error stands
+    # K6 is 3-critical and cr(K6) = 3 is above max_k = 2: crossing_number's
+    # k budget applies, and its budget error stands
     res = runner.invoke(main, ["critical", "complete:6", "--k", "3", "--max-k", "2"])
     assert res.exit_code == 3
     assert json.loads(res.stderr) == {"error": "cr exceeds budget on a component (cr > 2)"}

@@ -103,8 +103,7 @@ def test_combo_witness_is_called_only_in_the_oracle():
     # every configuration is certified by the oracle itself
     found = {path.name: path.read_text().count("_combo_witness(") for path in SOURCES}
     assert found["oracle.py"] and not {n: k for n, k in found.items() if k and n != "oracle.py"}
-    assert _callers(SOURCES[0].parent / "oracle.py", "_combo_witness") == [
-        "_level_witness", "extension_witness"]
+    assert _callers(SOURCES[0].parent / "oracle.py", "_combo_witness") == ["_level_witness"]
 
 
 def test_bounds_builds_no_planarization():
@@ -114,6 +113,15 @@ def test_bounds_builds_no_planarization():
         assert _callers(bounds, name) == [], name
     imported = _imported(bounds)
     assert not any("router" in name for name in imported), imported
+    # and asks it only for decisions and crossing numbers
+    from_oracle = {
+        alias.name
+        for node in ast.walk(ast.parse(bounds.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "oracle"
+        for alias in node.names
+    }
+    assert from_oracle == {
+        "cr_at_most", "crossing_number", "DEFAULT_MAX_K", "DEFAULT_MAX_EDGES"}, from_oracle
 
 
 def test_automorphisms_have_one_format():
@@ -122,7 +130,7 @@ def test_automorphisms_have_one_format():
     # and no module re-encodes them as permutations of pair indices
     callers = {path.name: _callers(path, "automorphisms") for path in SOURCES}
     assert {name: found for name, found in callers.items() if found} == {
-        "bounds.py": ["_critical_witness"], "oracle.py": ["_level_witness"]}, callers
+        "bounds.py": ["is_k_crossing_critical"], "oracle.py": ["_level_witness"]}, callers
     tables = [
         f"{path.name}:{node.name}"
         for path in SOURCES
