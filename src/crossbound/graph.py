@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 from networkx.readwrite.graph6 import data_to_n, n_to_data
@@ -205,33 +205,49 @@ def girth(g: Graph, enough: float = 0) -> float:
 MAX_AUTOMORPHISMS = 2000
 
 
-def automorphisms(g: Graph) -> Tuple[Dict[int, int], ...]:
-    """Automorphisms of g, the identity first, at most MAX_AUTOMORPHISMS.
+def automorphisms(g: Graph, fixing: Sequence[Tuple[Edge, Edge]] = ()) -> Tuple[Dict[int, int], ...]:
+    """Automorphisms of g that send each pair in ``fixing`` (two independent
+    edges of g) onto itself, the identity first, at most MAX_AUTOMORPHISMS.
 
-    Listed once per graph, on the first call, and kept on g, which every
-    caller shares; the maps must not be changed. Each maps every vertex
-    that has an edge; isolated vertices are left out, so they cost nothing
-    (each may be taken as fixed).
+    With no pair fixed, the list is made on the first call and kept on g,
+    which every caller shares; the maps must not be changed. Otherwise it
+    is searched afresh, and is the kept list filtered by "fixes every pair"
+    whenever g has at most MAX_AUTOMORPHISMS automorphisms: the search
+    misses none, so neither list is cut. Each maps every vertex that has an
+    edge; isolated vertices are left out, so they cost nothing (each may be
+    taken as fixed).
     """
+    if fixing:
+        return tuple(_list_automorphisms(g, fixing))
     if g._automorphisms is None:
-        g._automorphisms = tuple(_list_automorphisms(g))
+        g._automorphisms = tuple(_list_automorphisms(g, ()))
     return g._automorphisms
 
 
-def _list_automorphisms(g: Graph) -> List[Dict[int, int]]:
-    """The search behind automorphisms(g): backtracking over a breadth-first
-    vertex order. A candidate image has the vertex's degree, is adjacent to
-    the image of its breadth-first parent, and agrees with adjacency to
-    every vertex already mapped. A complete map that agrees everywhere is
-    an automorphism, and the search misses none.
+def _list_automorphisms(g: Graph, fixing: Sequence[Tuple[Edge, Edge]]) -> List[Dict[int, int]]:
+    """The search behind automorphisms(g, fixing): backtracking over a
+    breadth-first vertex order that starts from the fixed pairs' endpoints.
+    A candidate image has the vertex's degree, is adjacent to the image of
+    its breadth-first parent, and agrees with adjacency to every vertex
+    already mapped; an endpoint's image is an endpoint of each of its pairs,
+    and a pair's edge whose ends are both mapped goes to an edge of that
+    pair. A complete map that agrees everywhere is an automorphism sending
+    each pair into, so onto, itself; each check drops only partial maps
+    that no such automorphism extends, so the search misses none.
     """
+    # endpoint -> for each fixed pair at it, that pair's endpoint -> other end of its edge
+    mates: Dict[int, List[Dict[int, int]]] = {}
+    for (a, b), (c, d) in fixing:
+        mate = {a: b, b: a, c: d, d: c}
+        for v in mate:
+            mates.setdefault(v, []).append(mate)
     order: List[int] = []
     parent: Dict[int, Optional[int]] = {}
-    for root in g.vertices:
+    for root in (*mates, *g.vertices):
         if root in parent or not g.degree(root):
             continue
-        parent[root] = None
-        queue = [root]
+        queue = list(mates) if root in mates else [root]  # the endpoints first, together
+        parent.update(dict.fromkeys(queue))
         for v in queue:  # grows while it is read: breadth first
             for w in g.neighbors(v):
                 if w not in parent:
@@ -249,7 +265,13 @@ def _list_automorphisms(g: Graph) -> List[Dict[int, int]]:
         # read when v is reached; the vertices before v keep their images
         # while the list is used
         u = parent[v]
-        pool = everyone if u is None else g.neighbors(image[u])
+        if u is not None:
+            pool = g.neighbors(image[u])
+        else:  # a root, or a fixed pair's endpoint: to an endpoint of each of its
+            # pairs, and to the mate of its mate's image once that is mapped
+            pool = everyone
+            for m in mates.get(v, ()):
+                pool = [c for c in pool if c in m and (m[v] not in image or m[c] == image[m[v]])]
         mapped = {image[w] for w in adj[v] if w in image}
         d = len(adj[v])
         fits = [c for c in pool if c not in used and len(adj[c]) == d and adj[c] & used == mapped]

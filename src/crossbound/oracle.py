@@ -18,9 +18,9 @@ configuration whose planarization without its multiply-crossed edges is
 non-planar is dropped before any order is tried; and once every
 configuration containing some pairs P and q has failed, so has every one
 containing P and s(q), for each automorphism s of the graph that fixes
-every pair of P (the vertex maps of graph.automorphisms, through which a
-pair is mapped only when its image is needed). Exhaustive otherwise;
-budgets keep it at desk scale.
+every pair of P (the vertex maps graph.automorphisms lists as fixing P,
+through which a pair is mapped only when its image is needed).
+Exhaustive otherwise; budgets keep it at desk scale.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import networkx as nx
 
 from .embedding import planar_nx
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CrossboundError
 from .graph import Edge, Graph, automorphisms, components, girth, norm_edge
 from .skewness import edge_count_bound, skewness_lower_bound
 
@@ -145,8 +145,8 @@ def _level_witness(g: Graph, k: int) -> Optional[CrossingConfig]:
     The k-subsets of the independent pairs are walked in
     ``itertools.combinations`` order, as a tree over their prefixes; a
     prefix's dead pairs are skipped in its whole subtree. The automorphisms
-    of g (``graph.automorphisms``) are read only once a configuration has
-    failed, and a pair's image under one is computed when it is needed.
+    of g that fix a prefix's pairs (``graph.automorphisms``) are listed once
+    a configuration under it has failed; a pair's image is mapped on need.
     Only k-sets that cannot planarize are skipped, so the first witness is
     the one the flat loop finds, for any list of automorphisms.
 
@@ -198,8 +198,8 @@ def _level_witness(g: Graph, k: int) -> Optional[CrossingConfig]:
                 touching[v] += step
 
     def walk(prefix: Tuple[int, ...], dead: set, maps) -> Optional[CrossingConfig]:
-        # maps: the listed automorphisms fixing every pair of prefix, or
-        # None until this walk needs them
+        # maps: the listed automorphisms fixing every pair of prefix (the
+        # parent's, filtered, once it has them), or None until needed
         if len(prefix) == k:
             return _combo_witness(g, [pool[i] for i in prefix])
         dead = set(dead)
@@ -213,7 +213,7 @@ def _level_witness(g: Graph, k: int) -> Optional[CrossingConfig]:
             if wit is not None:
                 return wit
             if maps is None:
-                maps = [s for s in automorphisms(g) if all(image(s, i) == i for i in prefix)]
+                maps = automorphisms(g, [pool[i] for i in prefix])
             dead.update(image(s, q) for s in maps)
         return None
 
@@ -238,6 +238,11 @@ def _fewest_crossings(g: Graph, top: int, max_edges: int) -> Optional[CrossingCo
     return None
 
 
+def _check_budgets(max_k: int, max_edges: int):
+    if max_k < 0 or max_edges < 0:
+        raise CrossboundError(f"budgets must be >= 0: max_k={max_k}, max_edges={max_edges}")
+
+
 def cr_at_most(
     g: Graph,
     k: int,
@@ -247,8 +252,10 @@ def cr_at_most(
     """Decide cr(g) <= k by exhausting configurations of up to k crossings.
 
     Returns (True, witness) or (False, None). Raises BudgetExceededError
-    when k or the edge count is beyond the configured budget.
+    when k or the edge count is beyond its budget (CrossboundError if a
+    budget is negative).
     """
+    _check_budgets(max_k, max_edges)
     if k < 0:
         return False, None
     if k > max_k:
@@ -265,8 +272,10 @@ def crossing_number(
     """Exact cr(g), summed over connected components.
 
     Raises BudgetExceededError carrying the established fact cr(g) > max_k
-    when the search space is exhausted without a witness.
+    when the search space is exhausted without a witness (CrossboundError
+    if a budget is negative).
     """
+    _check_budgets(max_k, max_edges)
     total = 0
     for comp in components(g):
         wit = _fewest_crossings(comp, max_k, max_edges)

@@ -217,21 +217,31 @@ def test_edge_transitive_graphs_ask_one_deletion(monkeypatch, g, k):
     assert _asked_edges(monkeypatch, g, k) == (True, [min(g.edges())])
 
 
-@pytest.mark.parametrize("make, k, minus_e", [
-    (lambda: named("petersen"), 2, True), (lambda: complete(6), 3, True),
-    (lambda: complete_bipartite(3, 4), 2, False),
+@pytest.mark.parametrize("make, k, minus_e, fixed", [
+    (lambda: named("petersen"), 2, True, [0]), (lambda: complete(6), 3, True, [1, 0]),
+    (lambda: complete_bipartite(3, 4), 2, False, []),
 ], ids=["petersen", "K6", "K3,4"])
-def test_automorphisms_are_listed_once_per_graph(monkeypatch, make, k, minus_e):
-    # the oracle's pruning and the edge orbits share one list per graph:
-    # g's and one g - e's, as each graph here is edge-transitive. K3,4 - e
-    # has no failed configuration to prune from (the counting rules skip
-    # every one before its witness), so its list is never made
-    listed = []
+def test_automorphisms_are_listed_once_per_graph(monkeypatch, make, k, minus_e, fixed):
+    # the oracle's pruning and the edge orbits share one full list per
+    # graph: g's and one g - e's, as each graph here is edge-transitive.
+    # K3,4 - e has no failed configuration to prune from (the counting
+    # rules skip every one before its witness), so its list is never made.
+    # Below the top of its walk the oracle searches only the maps that fix
+    # the prefix, once per prefix that has a failed child (fixed: indices
+    # into [g, g - e], in the order searched)
+    full, constrained = [], []
     search = graph._list_automorphisms
-    monkeypatch.setattr(graph, "_list_automorphisms", lambda h: listed.append(h) or search(h))
+
+    def counted(h, fixing):
+        (constrained if fixing else full).append(h)
+        return search(h, fixing)
+
+    monkeypatch.setattr(graph, "_list_automorphisms", counted)
     g = make()
+    graphs = [g, delete_edge(g, min(g.edges()))]
     certify_critical_bounds(g, k)
-    assert listed == [g, delete_edge(g, min(g.edges()))][:1 + minus_e]
+    assert full == graphs[:1 + minus_e]
+    assert constrained == [graphs[i] for i in fixed]
 
 
 def test_one_deletion_per_edge_orbit(monkeypatch):

@@ -252,6 +252,20 @@ def test_draw_rejects_a_disconnected_base(runner, tmp_path, k):
     assert json.loads(res.stderr) == {"error": "embedding needs a connected graph"}
 
 
+@pytest.mark.parametrize("args", [
+    ["oracle", "complete:1", "--max-edges", "-1"],
+    ["oracle", "complete:1", "--max-k", "-3"],
+    ["analyze", "complete:5", "--max-k", "-1"],
+    ["critical", "complete:5", "--k", "1", "--max-k", "-1"],
+    ["critical", "complete:5", "--k", "1", "--max-edges", "-1"],
+], ids=["oracle-edges", "oracle-k", "analyze", "critical-k", "critical-edges"])
+def test_negative_budgets_are_errors(runner, args):
+    # not a budget the search ran out of: there is no fact to report
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1 and res.stdout == ""
+    assert "budgets must be >= 0" in json.loads(res.stderr)["error"]
+
+
 def test_missing_input_is_error(runner):
     res = runner.invoke(main, ["analyze", "no/such/file"])
     assert res.exit_code == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -286,3 +287,49 @@ def test_automorphisms_stop_at_the_cap():
     edges = set(g.edges())
     for s in found:
         assert {tuple(sorted((s[u], s[v]))) for u, v in edges} == edges
+
+
+def _fixes(s, pairs) -> bool:
+    return all({tuple(sorted((s[u], s[v]))) for u, v in pair} == set(pair) for pair in pairs)
+
+
+def test_automorphisms_fixing_pairs_match_the_filtered_list():
+    # below the cap, the search that fixes pairs lists exactly the full
+    # list's maps that send every pair onto itself
+    graphs = [
+        complete(5), complete(6), complete_bipartite(3, 3), complete_bipartite(3, 4),
+        complete_bipartite(4, 4), named("petersen"), named("cube"),
+    ]
+    rng = random.Random(64)
+    for _ in range(30):
+        n = rng.randint(5, 8)
+        h = nx.gnm_random_graph(n, rng.randint(n, 2 * n), seed=rng.randrange(10**9))
+        graphs.append(Graph.from_networkx(h))
+    prefixes = 0
+    for g in graphs:
+        full = automorphisms(g)
+        assert len(full) < MAX_AUTOMORPHISMS
+        matcher = _matcher_automorphisms(g)
+        pool = [(e, f) for e, f in itertools.combinations(g.edges(), 2) if not set(e) & set(f)]
+        chosen = [[p] for p in pool[:20]] + [
+            sorted(rng.sample(pool, rng.randint(2, 3))) for _ in range(20) if len(pool) >= 3]
+        for pairs in chosen:
+            found = automorphisms(g, pairs)
+            listed = [tuple(sorted(s.items())) for s in found]
+            assert found[0] == full[0]  # the identity first
+            assert len(set(listed)) == len(listed) and set(listed) <= matcher
+            expected = {tuple(sorted(s.items())) for s in full if _fixes(s, pairs)}
+            assert set(listed) == expected, (g.edges(), pairs)
+            prefixes += 1
+    assert prefixes > 500
+
+
+def test_automorphisms_fixing_a_pair_stop_at_the_cap():
+    g = complete_bipartite(2, 10)  # 2 * 8! maps fix the pair below
+    pair = ((0, 2), (1, 3))
+    found = automorphisms(g, [pair])
+    assert len({tuple(sorted(s.items())) for s in found}) == len(found) == MAX_AUTOMORPHISMS
+    edges = set(g.edges())
+    for s in found:
+        assert {tuple(sorted((s[u], s[v]))) for u, v in edges} == edges
+        assert _fixes(s, [pair])

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from crossbound.embedding import planar_nx
-from crossbound.errors import BudgetExceededError
+from crossbound.errors import BudgetExceededError, CrossboundError
 from crossbound.generators import complete, complete_bipartite, named, planar_plus
 from crossbound.graph import Graph, delete_edge
 from oracles import flat_level_witness, some_order_planarizes
@@ -226,6 +226,22 @@ def test_symmetry_rule_prunes_two_disjoint_k5s(monkeypatch, cap, tests):
     assert len(calls) == tests
 
 
+@pytest.mark.parametrize("make, tests", [(lambda: complete(6), 4), (lambda: named("petersen"), 2)],
+                         ids=["K6", "petersen"])
+def test_level_walk_lists_only_maps_that_fix_its_prefix(monkeypatch, make, tests):
+    # K6 has 720 automorphisms and Petersen 120; the walk's first failure
+    # is below the top, so it never lists them all, and prunes as much
+    listed = []
+    search = graph._list_automorphisms
+    monkeypatch.setattr(graph, "_list_automorphisms", lambda h, fixing: listed.append(
+        len(fixing)) or search(h, fixing))
+    calls = []
+    monkeypatch.setattr(oracle, "planar_nx", lambda gn: calls.append(gn) or planar_nx(gn))
+    crossing_number(make())
+    assert listed and 0 not in listed
+    assert len(calls) == tests
+
+
 def test_symmetries_are_asked_only_after_a_failure(monkeypatch, k5):
     asked = []
     monkeypatch.setattr(oracle, "automorphisms", lambda g: asked.append(g) or [])
@@ -235,3 +251,15 @@ def test_symmetries_are_asked_only_after_a_failure(monkeypatch, k5):
     with pytest.raises(BudgetExceededError):
         crossing_number(complete(7))  # over the edge budget
     assert asked == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cr_at_most(complete(5), 1, max_k=-1),
+    lambda: cr_at_most(complete(5), -1, max_edges=-1),  # before the k < 0 answer
+    lambda: crossing_number(Graph(), max_k=-1),  # no component to search
+    lambda: crossing_number(complete(5), max_edges=-1),
+], ids=["cr_at_most-k", "cr_at_most-edges", "crossing_number-empty", "crossing_number-edges"])
+def test_negative_budgets_raise(call):
+    with pytest.raises(CrossboundError) as info:
+        call()
+    assert not isinstance(info.value, BudgetExceededError)

@@ -138,3 +138,13 @@ def test_automorphisms_have_one_format():
         if isinstance(node, ast.FunctionDef) and "permutation" in node.name
     ]
     assert SOURCES and not tables, tables
+
+
+def test_automorphisms_have_one_search():
+    # the full list and every list that fixes pairs come from the one
+    # backtracking search, reached only through graph.automorphisms
+    found = {path.name: path.read_text().count("_list_automorphisms(") for path in SOURCES}
+    assert {name: k for name, k in found.items() if k} == {"graph.py": 3}, found  # def + 2 calls
+    callers = {path.name: _callers(path, "_list_automorphisms") for path in SOURCES}
+    assert {name: found for name, found in callers.items() if found} == {
+        "graph.py": ["automorphisms", "automorphisms"]}, callers
