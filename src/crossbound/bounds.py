@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import CrossboundError, NotCriticalError
-from .graph import Graph, automorphisms, delete_edge, min_degree, norm_edge
+from .graph import Graph, automorphisms, component_roots, delete_edge, min_degree, norm_edge
 from .lightcycle import CycleWitness, light_cycle_general
 from .oracle import cr_at_most, crossing_number
 from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_K
@@ -129,6 +129,8 @@ def verify_degree_reciprocal_bounds(d_max: int = 60) -> bool:
     """
     if d_max < 3:
         raise CrossboundError("d_max must be >= 3")
+    if d_max > 1000:  # the run time grows with d_max
+        raise CrossboundError("d_max must be <= 1000")
     return (
         _enumerate_part(3, Fraction(1, 2), 2, 10, d_max)
         and _enumerate_part(4, Fraction(1), 3, 5, d_max)
@@ -141,27 +143,21 @@ def is_k_crossing_critical(
 ) -> bool:
     """cr(g) >= k and cr(g minus e) <= k - 1 for every edge e.
 
-    Edges are taken in sorted order, and g - e is asked only if no listed
-    automorphism maps an edge already asked onto e: an automorphism s maps
-    g - f onto g - s(f), so both have the same crossing number. With every
-    automorphism listed, this is one question per edge orbit, for its least
-    edge. The first edge whose deletion keeps cr >= k is always asked (an
-    edge it was skipped for would come before it and fail too), so the
-    verdict is the same as when every edge is asked.
+    g - e is asked only for the least edge e of each edge orbit, closed
+    by graph.component_roots over the pairs (f, s(f)) for each map s that
+    graph.automorphisms(g) returns. An automorphism s maps g - f onto
+    g - s(f), so every edge has its orbit's answer, and the verdict is the
+    same as when every edge is asked.
     """
     if k < 1:
         raise CrossboundError("k must be >= 1")
     if cr_at_most(g, k - 1, max_k=max_k, max_edges=max_edges)[0]:
         return False
-    symmetries = automorphisms(g)
-    covered = set()
-    for e in g.edges():
-        if e in covered:
-            continue
-        covered.update(norm_edge(s[e[0]], s[e[1]]) for s in symmetries)
-        if not cr_at_most(delete_edge(g, e), k - 1, max_k=max_k, max_edges=max_edges)[0]:
-            return False
-    return True
+    edges = g.edges()
+    least = component_roots(
+        edges, ((e, norm_edge(s[e[0]], s[e[1]])) for s in automorphisms(g) for e in edges))
+    return all(cr_at_most(delete_edge(g, e), k - 1, max_k=max_k, max_edges=max_edges)[0]
+               for e in edges if least[e] == e)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Vertices are non-negative integers with stable ids: deletion preserves ids,
 contraction keeps the lower id of each merged pair. All operations are pure
 functions returning fresh Graph values, so graphs are safe to share across
-workers.
+workers. A graph keeps no derived state but its edge tuple and hash; its
+symmetries are searched when asked for, as a generating set.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ class Graph:
     """A simple undirected graph: no loops, no parallel edges.
 
     Immutable after construction; equality and hashing are by vertex set
-    and edge set. The edge tuple, the hash and the automorphism list are
-    computed once, when first asked for.
+    and edge set. The edge tuple and the hash are computed once, when
+    first asked for.
     """
 
-    __slots__ = ("_adj", "_hash", "_edges", "_automorphisms")
+    __slots__ = ("_adj", "_hash", "_edges")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         adj: Dict[int, set] = {int(v): set() for v in vertices}
@@ -53,7 +54,6 @@ class Graph:
         }
         self._hash = None
         self._edges: Optional[Tuple[Edge, ...]] = None
-        self._automorphisms: Optional[Tuple[Dict[int, int], ...]] = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -201,39 +201,31 @@ def girth(g: Graph, enough: float = 0) -> float:
     return best
 
 
-# Most automorphisms listed by automorphisms(); K4,4 has 1152.
+# Most maps automorphisms() returns: 1 + n(n - 1)/2 reaches it at n = 64.
 MAX_AUTOMORPHISMS = 2000
 
 
 def automorphisms(g: Graph, fixing: Sequence[Tuple[Edge, Edge]] = ()) -> Tuple[Dict[int, int], ...]:
-    """Automorphisms of g that send each pair in ``fixing`` (two independent
-    edges of g) onto itself, the identity first, at most MAX_AUTOMORPHISMS.
+    """A generating set, the identity first, of the automorphisms of g that
+    send each pair in ``fixing`` (two independent edges of g) onto itself;
+    at most MAX_AUTOMORPHISMS maps. Each maps every vertex that has an
+    edge; isolated vertices are left out, so they cost nothing (each may
+    be taken as fixed).
 
-    With no pair fixed, the list is made on the first call and kept on g,
-    which every caller shares; the maps must not be changed. Otherwise it
-    is searched afresh, and is the kept list filtered by "fixes every pair"
-    whenever g has at most MAX_AUTOMORPHISMS automorphisms: the search
-    misses none, so neither list is cut. Each maps every vertex that has an
-    edge; isolated vertices are left out, so they cost nothing (each may be
-    taken as fixed).
-    """
-    if fixing:
-        return tuple(_list_automorphisms(g, fixing))
-    if g._automorphisms is None:
-        g._automorphisms = tuple(_list_automorphisms(g, ()))
-    return g._automorphisms
-
-
-def _list_automorphisms(g: Graph, fixing: Sequence[Tuple[Edge, Edge]]) -> List[Dict[int, int]]:
-    """The search behind automorphisms(g, fixing): backtracking over a
-    breadth-first vertex order that starts from the fixed pairs' endpoints.
-    A candidate image has the vertex's degree, is adjacent to the image of
-    its breadth-first parent, and agrees with adjacency to every vertex
-    already mapped; an endpoint's image is an endpoint of each of its pairs,
-    and a pair's edge whose ends are both mapped goes to an edge of that
-    pair. A complete map that agrees everywhere is an automorphism sending
-    each pair into, so onto, itself; each check drops only partial maps
-    that no such automorphism extends, so the search misses none.
+    Backtracking over a breadth-first vertex order that starts from the
+    fixed pairs' endpoints. A candidate image has the vertex's degree, is
+    adjacent to the image of its breadth-first parent, and agrees with
+    adjacency to every vertex already mapped; an endpoint's image is an
+    endpoint of each of its pairs, and a pair's edge whose ends are both
+    mapped goes to an edge of that pair. A complete map that agrees
+    everywhere is an automorphism sending each pair into, so onto, itself;
+    each check drops only partial maps that no such automorphism extends.
+    Each vertex tries itself first, so the identity is found first. After
+    a map, the search goes back to the first vertex it moves, v_i: below
+    the identity on v_0..v_{i-1}, one map per image of v_i, that is one
+    per coset of the stabilizer of v_0..v_i in the stabilizer of
+    v_0..v_{i-1}. Such coset representatives, over every i, generate the
+    group (Sims), and number at most 1 + n(n - 1)/2.
     """
     # endpoint -> for each fixed pair at it, that pair's endpoint -> other end of its edge
     mates: Dict[int, List[Dict[int, int]]] = {}
@@ -255,7 +247,7 @@ def _list_automorphisms(g: Graph, fixing: Sequence[Tuple[Edge, Edge]]) -> List[D
                     queue.append(w)
         order += queue
     if not order:
-        return [{}]
+        return ({},)
     adj = {v: set(g.neighbors(v)) for v in order}
     everyone = sorted(order)
     image: Dict[int, int] = {}
@@ -296,12 +288,18 @@ def _list_automorphisms(g: Graph, fixing: Sequence[Tuple[Edge, Edge]]) -> List[D
         found.append(dict(image))
         if len(found) == MAX_AUTOMORPHISMS:
             break
-    return found
+        # back to the first vertex the map moves (the last for the identity)
+        i = next((i for i, w in enumerate(order) if image[w] != w), len(order) - 1)
+        for w in order[i + 1:]:
+            used.discard(image.pop(w))
+        del stack[i + 1:]
+    return tuple(found)
 
 
 def component_roots(vertices: Iterable[int], edges: Iterable[Edge]) -> Dict[int, int]:
-    """Union-find over ``edges``: maps each vertex to the lowest id in its
-    connected component, in the order of ``vertices``."""
+    """Union-find over ``edges``: maps each vertex to the least vertex in
+    its connected component, in the order of ``vertices``. Any ordered
+    values serve as vertices, such as edges when closing edge orbits."""
     parent = {v: v for v in vertices}
 
     def find(x: int) -> int:

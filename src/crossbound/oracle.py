@@ -17,10 +17,10 @@ girth-aware edge-count bounds of skewness.edge_count_bound); a
 configuration whose planarization without its multiply-crossed edges is
 non-planar is dropped before any order is tried; and once every
 configuration containing some pairs P and q has failed, so has every one
-containing P and s(q), for each automorphism s of the graph that fixes
-every pair of P (the vertex maps graph.automorphisms lists as fixing P,
-through which a pair is mapped only when its image is needed).
-Exhaustive otherwise; budgets keep it at desk scale.
+containing P and s(q), for each s in the group generated by the maps
+graph.automorphisms returns as fixing every pair of P (q's orbit is
+closed only once q has failed). Exhaustive otherwise; budgets keep it at
+desk scale.
 """
 
 from __future__ import annotations
@@ -144,11 +144,11 @@ def _level_witness(g: Graph, k: int) -> Optional[CrossingConfig]:
 
     The k-subsets of the independent pairs are walked in
     ``itertools.combinations`` order, as a tree over their prefixes; a
-    prefix's dead pairs are skipped in its whole subtree. The automorphisms
-    of g that fix a prefix's pairs (``graph.automorphisms``) are listed once
-    a configuration under it has failed; a pair's image is mapped on need.
-    Only k-sets that cannot planarize are skipped, so the first witness is
-    the one the flat loop finds, for any list of automorphisms.
+    prefix's dead pairs are skipped in its whole subtree. Once a child of a
+    prefix has failed, ``graph.automorphisms`` is asked once for maps that
+    fix the prefix's pairs, and each failed child's orbit under them is
+    closed into the dead pairs. Only k-sets that cannot planarize are skipped, so
+    the first witness is the one the flat loop finds, for any set of maps.
 
     The counting rules: let a k-set S planarize g. A plane embedding of its
     planarization draws g with at most k crossings, one at each pair of S
@@ -165,11 +165,12 @@ def _level_witness(g: Graph, k: int) -> Optional[CrossingConfig]:
     element of S is at most the i-th least of P + (q), so S lies in that
     subtree or before it, and everything before it has failed or was
     skipped as failing, by either rule (a subtree the counting rules cut
-    is exhausted in this sense). Let the automorphism s fix every pair of
-    P. A k-set containing P and s(q) is the image under s of one
+    is exhausted in this sense). Each map asked for is an automorphism
+    that sends every pair of P onto itself, so every product s of them is
+    one too. A k-set containing P and s(q) is the image under s of one
     containing P and q, and its planarization (under the image orders) is
-    isomorphic; every order is tried, so it fails too. So s(q) is dead in
-    the rest of P's subtree.
+    isomorphic; every order is tried, so it fails too. So q's whole orbit
+    under the maps is dead in the rest of P's subtree.
     """
     vertex_lb, edge_lb = _deletion_bounds(g)
     room = {v: k - lb for v, lb in vertex_lb.items()}  # most pairs that may touch v
@@ -197,27 +198,29 @@ def _level_witness(g: Graph, k: int) -> Optional[CrossingConfig]:
             for v in e:
                 touching[v] += step
 
-    def walk(prefix: Tuple[int, ...], dead: set, maps) -> Optional[CrossingConfig]:
-        # maps: the listed automorphisms fixing every pair of prefix (the
-        # parent's, filtered, once it has them), or None until needed
+    def walk(prefix: Tuple[int, ...], dead: set) -> Optional[CrossingConfig]:
         if len(prefix) == k:
             return _combo_witness(g, [pool[i] for i in prefix])
-        dead = set(dead)
+        dead, maps = set(dead), None
         for q in range(prefix[-1] + 1 if prefix else 0, len(pool) - k + len(prefix) + 1):
             if q in dead or not fits(pool[q]):
                 continue
-            fixing_q = None if maps is None else [s for s in maps if image(s, q) == q]
             count(pool[q], 1)
-            wit = walk(prefix + (q,), dead, fixing_q)
+            wit = walk(prefix + (q,), dead)
             count(pool[q], -1)
             if wit is not None:
                 return wit
             if maps is None:
                 maps = automorphisms(g, [pool[i] for i in prefix])
-            dead.update(image(s, q) for s in maps)
+            orbit, grow = {q}, [q]
+            for p in grow:  # grows while it is read: closes q's orbit under the maps
+                fresh = {image(s, p) for s in maps} - orbit
+                orbit |= fresh
+                grow += fresh
+            dead |= orbit
         return None
 
-    return walk((), set(), None)
+    return walk((), set())
 
 
 def _fewest_crossings(g: Graph, top: int, max_edges: int) -> Optional[CrossingConfig]:

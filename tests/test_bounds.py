@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbound import bounds, graph, oracle
+from crossbound import bounds, oracle
 from crossbound.bounds import (
     SqrtExpr,
     certify_critical_bounds,
@@ -218,25 +218,24 @@ def test_edge_transitive_graphs_ask_one_deletion(monkeypatch, g, k):
 
 
 @pytest.mark.parametrize("make, k, minus_e, fixed", [
-    (lambda: named("petersen"), 2, True, [0]), (lambda: complete(6), 3, True, [1, 0]),
+    (lambda: named("petersen"), 2, True, [0]), (lambda: complete(6), 3, True, [1, 1, 0, 0, 0, 0]),
     (lambda: complete_bipartite(3, 4), 2, False, []),
 ], ids=["petersen", "K6", "K3,4"])
 def test_automorphisms_are_listed_once_per_graph(monkeypatch, make, k, minus_e, fixed):
-    # the oracle's pruning and the edge orbits share one full list per
-    # graph: g's and one g - e's, as each graph here is edge-transitive.
-    # K3,4 - e has no failed configuration to prune from (the counting
-    # rules skip every one before its witness), so its list is never made.
-    # Below the top of its walk the oracle searches only the maps that fix
-    # the prefix, once per prefix that has a failed child (fixed: indices
-    # into [g, g - e], in the order searched)
+    # with no pair fixed, each graph is searched once: g for its edge
+    # orbits, and one g - e at the root of the oracle's walk, as each graph
+    # here is edge-transitive. K3,4 - e has no failed configuration to
+    # prune from (the counting rules skip every one before its witness),
+    # so it is never searched. Below the root the oracle searches the maps
+    # that fix the prefix, once per prefix that has a failed child (fixed:
+    # indices into [g, g - e], in the order searched)
     full, constrained = [], []
-    search = graph._list_automorphisms
+    for module in (bounds, oracle):
+        def counted(h, fixing=(), search=module.automorphisms):
+            (constrained if fixing else full).append(h)
+            return search(h, fixing)
 
-    def counted(h, fixing):
-        (constrained if fixing else full).append(h)
-        return search(h, fixing)
-
-    monkeypatch.setattr(graph, "_list_automorphisms", counted)
+        monkeypatch.setattr(module, "automorphisms", counted)
     g = make()
     graphs = [g, delete_edge(g, min(g.edges()))]
     certify_critical_bounds(g, k)

@@ -209,6 +209,16 @@ def test_verify_lemma(runner):
     assert json.loads(res.output) == {"d_max": 40, "holds": True}
 
 
+def test_verify_lemma_refuses_a_huge_d_max(runner):
+    # the run time grows with d_max: past 1000 it is refused, not run
+    res = runner.invoke(main, ["verify-lemma", "--d-max", "1000000000"])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert json.loads(res.stderr) == {"error": "d_max must be <= 1000"}
+    res = runner.invoke(main, ["verify-lemma", "--d-max", "1000"])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"d_max": 1000, "holds": True}
+
+
 def test_reruns_are_byte_identical(runner, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

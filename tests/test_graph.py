@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from crossbound import graph
 from crossbound.errors import DuplicateEdgeError, GraphFormatError, MissingEdgeError
 from crossbound.generators import complete, complete_bipartite, named
 from crossbound.graph import (
-    MAX_AUTOMORPHISMS,
     MAX_GRAPH_SIZE,
     Graph,
     automorphisms,
@@ -256,6 +256,20 @@ def _matcher_automorphisms(g: Graph):
     }
 
 
+def _closure(maps):
+    """The group the maps generate, as sorted item tuples: every product of
+    them, starting from the first (the identity)."""
+    group, products = {tuple(sorted(maps[0].items()))}, [maps[0]]
+    for a in products:  # grows while it is read
+        for s in maps:
+            c = {v: s[w] for v, w in a.items()}
+            key = tuple(sorted(c.items()))
+            if key not in group:
+                group.add(key)
+                products.append(c)
+    return group
+
+
 def test_automorphisms_match_graph_matcher():
     graphs = [
         complete(4), complete(5), complete_bipartite(3, 3), complete_bipartite(3, 4),
@@ -275,15 +289,31 @@ def test_automorphisms_match_graph_matcher():
         found = automorphisms(g)
         assert found[0] == {v: v for v in g.vertices if g.degree(v)}  # the identity first
         listed = [tuple(sorted(s.items())) for s in found]
-        assert len(set(listed)) == len(listed)
-        assert set(listed) == _matcher_automorphisms(g), g.edges()
+        matcher = _matcher_automorphisms(g)
+        assert len(set(listed)) == len(listed) and set(listed) <= matcher
+        assert _closure(found) == matcher, g.edges()
 
 
-def test_automorphisms_stop_at_the_cap():
-    g = complete_bipartite(2, 10)  # 2 * 10! automorphisms
+@pytest.mark.parametrize("make, maps", [
+    (lambda: complete(5), 11), (lambda: complete_bipartite(3, 4), 10), (lambda: complete(6), 16),
+    (lambda: named("petersen"), 14), (lambda: complete_bipartite(3, 5), 14),
+    (lambda: complete_bipartite(4, 4), 17), (lambda: complete_bipartite(3, 6), 19),
+    (lambda: Graph.from_networkx(nx.disjoint_union(nx.complete_graph(5), nx.complete_graph(5))), 26),
+], ids=["K5", "K3,4", "K6", "petersen", "K3,5", "K4,4", "K3,6", "2K5"])
+def test_automorphisms_keep_one_map_per_coset(make, maps):
+    # the identity, then one map per coset of the stabilizer chain along the
+    # search order: K6 has 720 automorphisms and 1 + 5 + 4 + 3 + 2 + 1 maps
+    g = make()
+    assert len(automorphisms(g)) == maps
+    assert maps <= 1 + g.n * (g.n - 1) // 2
+
+
+def test_automorphisms_stop_at_the_cap(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_AUTOMORPHISMS", 20)
+    g = complete_bipartite(2, 10)  # 2 * 10! automorphisms, generated by 47 maps
     found = automorphisms(g)
-    assert len(found) == MAX_AUTOMORPHISMS
-    assert len({tuple(sorted(s.items())) for s in found}) == MAX_AUTOMORPHISMS
+    assert len(found) == graph.MAX_AUTOMORPHISMS
+    assert len({tuple(sorted(s.items())) for s in found}) == graph.MAX_AUTOMORPHISMS
     edges = set(g.edges())
     for s in found:
         assert {tuple(sorted((s[u], s[v]))) for u, v in edges} == edges
@@ -294,8 +324,8 @@ def _fixes(s, pairs) -> bool:
 
 
 def test_automorphisms_fixing_pairs_match_the_filtered_list():
-    # below the cap, the search that fixes pairs lists exactly the full
-    # list's maps that send every pair onto itself
+    # the maps that fix pairs generate exactly the matcher's automorphisms
+    # that send every pair onto itself
     graphs = [
         complete(5), complete(6), complete_bipartite(3, 3), complete_bipartite(3, 4),
         complete_bipartite(4, 4), named("petersen"), named("cube"),
@@ -307,8 +337,7 @@ def test_automorphisms_fixing_pairs_match_the_filtered_list():
         graphs.append(Graph.from_networkx(h))
     prefixes = 0
     for g in graphs:
-        full = automorphisms(g)
-        assert len(full) < MAX_AUTOMORPHISMS
+        identity = {v: v for v in g.vertices if g.degree(v)}
         matcher = _matcher_automorphisms(g)
         pool = [(e, f) for e, f in itertools.combinations(g.edges(), 2) if not set(e) & set(f)]
         chosen = [[p] for p in pool[:20]] + [
@@ -316,19 +345,21 @@ def test_automorphisms_fixing_pairs_match_the_filtered_list():
         for pairs in chosen:
             found = automorphisms(g, pairs)
             listed = [tuple(sorted(s.items())) for s in found]
-            assert found[0] == full[0]  # the identity first
+            assert found[0] == identity  # the identity first
             assert len(set(listed)) == len(listed) and set(listed) <= matcher
-            expected = {tuple(sorted(s.items())) for s in full if _fixes(s, pairs)}
-            assert set(listed) == expected, (g.edges(), pairs)
+            assert all(_fixes(s, pairs) for s in found), (g.edges(), pairs)
+            expected = {s for s in matcher if _fixes(dict(s), pairs)}
+            assert _closure(found) == expected, (g.edges(), pairs)
             prefixes += 1
     assert prefixes > 500
 
 
-def test_automorphisms_fixing_a_pair_stop_at_the_cap():
-    g = complete_bipartite(2, 10)  # 2 * 8! maps fix the pair below
+def test_automorphisms_fixing_a_pair_stop_at_the_cap(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_AUTOMORPHISMS", 20)
+    g = complete_bipartite(2, 10)  # 2 * 8! maps fix the pair below, generated by 30
     pair = ((0, 2), (1, 3))
     found = automorphisms(g, [pair])
-    assert len({tuple(sorted(s.items())) for s in found}) == len(found) == MAX_AUTOMORPHISMS
+    assert len({tuple(sorted(s.items())) for s in found}) == len(found) == graph.MAX_AUTOMORPHISMS
     edges = set(g.edges())
     for s in found:
         assert {tuple(sorted((s[u], s[v]))) for u, v in edges} == edges

@@ -206,14 +206,12 @@ def test_pruned_levels_match_the_flat_loop(monkeypatch, level_cases, cap):
     if cap is not None:
         monkeypatch.setattr(graph, "MAX_AUTOMORPHISMS", cap)
     for g, expected in level_cases:
-        # a graph keeps the list it made first: a fresh copy lists under this cap
-        g = Graph(g.vertices, g.edges())
         for level, wit in enumerate(expected):
             assert _level_witness(g, level) == wit, (g.edges(), level)
         assert cap is None or len(graph.automorphisms(g)) <= cap
 
 
-@pytest.mark.parametrize("cap, tests", [(None, 9), (1, 131)], ids=["all", "identity"])
+@pytest.mark.parametrize("cap, tests", [(None, 3), (1, 131)], ids=["all", "identity"])
 def test_symmetry_rule_prunes_two_disjoint_k5s(monkeypatch, cap, tests):
     # witness equality cannot see a walk that prunes less: pin the work.
     # Level 1 fails (cr = 2); with the identity alone nothing is mapped
@@ -230,10 +228,11 @@ def test_symmetry_rule_prunes_two_disjoint_k5s(monkeypatch, cap, tests):
                          ids=["K6", "petersen"])
 def test_level_walk_lists_only_maps_that_fix_its_prefix(monkeypatch, make, tests):
     # K6 has 720 automorphisms and Petersen 120; the walk's first failure
-    # is below the top, so it never lists them all, and prunes as much
+    # is below the top, so it never searches them with no pair fixed, and
+    # prunes as much
     listed = []
-    search = graph._list_automorphisms
-    monkeypatch.setattr(graph, "_list_automorphisms", lambda h, fixing: listed.append(
+    search = oracle.automorphisms
+    monkeypatch.setattr(oracle, "automorphisms", lambda h, fixing: listed.append(
         len(fixing)) or search(h, fixing))
     calls = []
     monkeypatch.setattr(oracle, "planar_nx", lambda gn: calls.append(gn) or planar_nx(gn))

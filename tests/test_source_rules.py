@@ -125,7 +125,7 @@ def test_bounds_builds_no_planarization():
 
 
 def test_automorphisms_have_one_format():
-    # symmetries are vertex maps, read from the list kept on the graph: the
+    # symmetries are vertex maps, as graph.automorphisms returns them: the
     # edge orbits of critical and the oracle's level walk map through them,
     # and no module re-encodes them as permutations of pair indices
     callers = {path.name: _callers(path, "automorphisms") for path in SOURCES}
@@ -141,10 +141,42 @@ def test_automorphisms_have_one_format():
 
 
 def test_automorphisms_have_one_search():
-    # the full list and every list that fixes pairs come from the one
-    # backtracking search, reached only through graph.automorphisms
-    found = {path.name: path.read_text().count("_list_automorphisms(") for path in SOURCES}
-    assert {name: k for name, k in found.items() if k} == {"graph.py": 3}, found  # def + 2 calls
-    callers = {path.name: _callers(path, "_list_automorphisms") for path in SOURCES}
-    assert {name: found for name, found in callers.items() if found} == {
-        "graph.py": ["automorphisms", "automorphisms"]}, callers
+    # every generating set, with pairs fixed or not, comes from the one
+    # backtracking search, graph.automorphisms itself: no helper behind it
+    # and no second search elsewhere
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and "automorphism" in node.name
+    ]
+    assert defined == ["graph.py:automorphisms"], defined
+    graph = SOURCES[0].parent / "graph.py"
+    assert _callers(graph, "automorphisms") == [], _callers(graph, "automorphisms")
+
+
+def test_graph_keeps_no_symmetry_state():
+    # a Graph holds its adjacency and two values read off it, the edge
+    # tuple and the hash; symmetries are searched when asked for
+    tree = ast.parse((SOURCES[0].parent / "graph.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Graph")
+    slots = next(
+        ast.literal_eval(node.value)
+        for node in cls.body
+        if isinstance(node, ast.Assign) and any(t.id == "__slots__" for t in node.targets)
+    )
+    assert slots == ("_adj", "_hash", "_edges"), slots
+
+
+def test_component_roots_is_the_one_union_find():
+    # every union-find (components, contraction, girth, edge orbits) goes
+    # through graph.component_roots: no other function nests a find
+    finds = [
+        f"{path.name}:{outer.name}"
+        for path in SOURCES
+        for outer in ast.walk(ast.parse(path.read_text()))
+        if isinstance(outer, ast.FunctionDef)
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, ast.FunctionDef) and inner.name == "find"
+    ]
+    assert finds == ["graph.py:component_roots"], finds
