@@ -3,7 +3,8 @@
 All bound arithmetic is exact: rationals throughout, and the lone
 irrational term (sqrt(k) in the minimum-degree-5 bound) is kept symbolic,
 so comparisons against integer crossing numbers are exact decisions rather
-than float guesses.
+than float guesses. certify_critical_bounds reads cr, and the skewness
+wherever it can, off the oracle's crossing witnesses.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
-from .errors import CrossboundError, NotCriticalError
+from .errors import BudgetExceededError, CrossboundError, NotCriticalError
 from .graph import Graph, automorphisms, component_roots, delete_edge, min_degree, norm_edge
 from .lightcycle import CycleWitness, light_cycle_general
-from .oracle import cr_at_most, crossing_number
+from .oracle import cr_at_most, crossing_witnesses
 from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_K
-from .skewness import SkewnessCertificate, skewness_exact
+from .skewness import SkewnessCertificate, certificate_at_lower_bound, skewness_exact
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,11 @@ def is_k_crossing_critical(
 ) -> bool:
     """cr(g) >= k and cr(g minus e) <= k - 1 for every edge e.
 
+    g is asked at level min(k - 1, max_k): a witness there shows
+    cr(g) <= k - 1, so g is not critical whatever k is. Without one, a
+    k - 1 above max_k leaves cr(g) >= k undecided, and the budget error
+    carries the established cr(g) > max_k.
+
     g - e is asked only for the least edge e of each edge orbit, closed
     by graph.component_roots over the pairs (f, s(f)) for each map s that
     graph.automorphisms(g) returns. An automorphism s maps g - f onto
@@ -151,8 +157,10 @@ def is_k_crossing_critical(
     """
     if k < 1:
         raise CrossboundError("k must be >= 1")
-    if cr_at_most(g, k - 1, max_k=max_k, max_edges=max_edges)[0]:
+    if cr_at_most(g, min(k - 1, max_k), max_k=max_k, max_edges=max_edges)[0]:
         return False
+    if k - 1 > max_k:
+        raise BudgetExceededError(f"k={k - 1} above budget {max_k}", established=f"cr > {max_k}")
     edges = g.edges()
     least = component_roots(
         edges, ((e, norm_edge(s[e[0]], s[e[1]])) for s in automorphisms(g) for e in edges))
@@ -162,7 +170,9 @@ def is_k_crossing_critical(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every applicable bound for one graph, with the inputs that fed it."""
+    """Every applicable bound for one graph, with the inputs that fed it.
+    ``sk_certificate`` is Euler-checked; certify_critical_bounds says
+    where it comes from."""
 
     n: int
     delta: int
@@ -185,12 +195,19 @@ def certify_critical_bounds(
     """Evaluate all bounds for a k-crossing-critical graph and record, per
     bound, whether the exact crossing number respects it.
 
+    cr sums oracle.crossing_witnesses, one per component. The lesser edge
+    of each of their crossing pairs is the skewness certificate when it
+    meets the lower bound (skewness.certificate_at_lower_bound); only
+    otherwise does skewness_exact search.
+
     Raises NotCriticalError if g is not k-crossing-critical."""
     if not is_k_crossing_critical(g, k, max_k, max_edges):
         raise NotCriticalError(f"graph is not {k}-crossing-critical")
     delta = min_degree(g)
-    cr = crossing_number(g, max_k=max_k, max_edges=max_edges)
-    cert = skewness_exact(g)
+    witnesses = crossing_witnesses(g, max_k=max_k, max_edges=max_edges)
+    cr = sum(wit.k for wit in witnesses)
+    removed = {e for wit in witnesses for e, _ in wit.pairs}
+    cert = certificate_at_lower_bound(g, removed) or skewness_exact(g)
     wit = (light_cycle_general(g, cert.removed, embedding=cert.embedding)
            if delta >= 3 else None)
     sk_bound = skewness_crossing_bound(g.n, cert.value)

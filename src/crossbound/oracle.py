@@ -267,24 +267,36 @@ def cr_at_most(
     return wit is not None, wit
 
 
-def crossing_number(
+def crossing_witnesses(
     g: Graph,
     max_k: int = DEFAULT_MAX_K,
     max_edges: int = DEFAULT_MAX_EDGES,
-) -> int:
-    """Exact cr(g), summed over connected components.
+) -> List[CrossingConfig]:
+    """A planarizing configuration with the fewest crossings for each
+    connected component of g, in components order: its k is that
+    component's exact cr.
 
     Raises BudgetExceededError carrying the established fact cr(g) > max_k
-    when the search space is exhausted without a witness (CrossboundError
-    if a budget is negative).
+    when some component's search is exhausted without a witness
+    (CrossboundError if a budget is negative).
     """
     _check_budgets(max_k, max_edges)
-    total = 0
+    witnesses = []
     for comp in components(g):
         wit = _fewest_crossings(comp, max_k, max_edges)
         if wit is None:
             raise BudgetExceededError(
                 "cr exceeds budget on a component", established=f"cr > {max_k}"
             )
-        total += wit.k
-    return total
+        witnesses.append(wit)
+    return witnesses
+
+
+def crossing_number(
+    g: Graph,
+    max_k: int = DEFAULT_MAX_K,
+    max_edges: int = DEFAULT_MAX_EDGES,
+) -> int:
+    """Exact cr(g): the crossings of crossing_witnesses(g), summed over
+    connected components, with its budgets and budget errors."""
+    return sum(wit.k for wit in crossing_witnesses(g, max_k, max_edges))

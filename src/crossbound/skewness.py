@@ -22,7 +22,7 @@ import networkx as nx
 
 from .embedding import Embeddings, embed_components, is_planar, planar_nx, witness_nx
 from .errors import CrossboundError
-from .graph import Edge, Graph, delete_edges, girth
+from .graph import Edge, Graph, components, delete_edges, girth
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,25 @@ def skewness_lower_bound(g: Graph) -> int:
     if m <= n - 2:
         return 0
     return edge_count_bound(n, m, girth(g, enough=2 * m / (m - n + 2)))
+
+
+def certificate_at_lower_bound(g: Graph, removed: Iterable[Edge]) -> Optional[SkewnessCertificate]:
+    """The exact certificate of ``removed``, one edge of each crossing pair
+    of a drawing of g, when its size meets the skewness lower bound; None
+    when it is larger.
+
+    g - removed is planar: each crossing of the drawing loses one of its
+    two edges, so what is left of the drawing is a plane drawing of
+    g - removed (and _certified checks its embedding anyway). So
+    sk(g) <= |removed|. Planarity holds component by component, so sk(g)
+    is the sum of the components' skewness, and each component c has
+    skewness_lower_bound(c) <= sk(c). A set whose size equals the sum of
+    those bounds is therefore a minimum one.
+    """
+    removed = frozenset(removed)
+    if len(removed) != sum(skewness_lower_bound(c) for c in components(g)):
+        return None
+    return _certified(g, removed, exact=True)
 
 
 def _search(gn: nx.Graph, depth: int, banned: frozenset) -> Optional[List[Edge]]:

@@ -22,10 +22,11 @@ from crossbound.bounds import (
     verify_degree_reciprocal_bounds,
 )
 from crossbound.cli import _rat
-from crossbound.errors import CrossboundError, NotCriticalError
+from crossbound.errors import BudgetExceededError, CrossboundError, NotCriticalError
 from crossbound.generators import complete, complete_bipartite, named
 from crossbound.graph import Graph, delete_edge, parse_graph
-from crossbound.oracle import cr_at_most
+from crossbound.oracle import cr_at_most, crossing_witnesses
+from crossbound.skewness import certificate_at_lower_bound, skewness_exact
 
 
 def test_skewness_crossing_bound_values():
@@ -154,6 +155,16 @@ def test_criticality_examples(k5, k6, k33, c4):
     assert not is_k_crossing_critical(complete_bipartite(3, 5), 1, max_k=1)
     with pytest.raises(CrossboundError):
         is_k_crossing_critical(k5, 0)
+
+
+def test_criticality_above_the_k_budget(k5, k6):
+    # the search within max_k decides k - 1 > max_k when it finds a witness
+    assert not is_k_crossing_critical(k5, 6)
+    assert not is_k_crossing_critical(complete_bipartite(3, 3), 9)
+    # and otherwise establishes cr > max_k
+    with pytest.raises(BudgetExceededError) as exc:
+        is_k_crossing_critical(k6, 4, max_k=2)
+    assert exc.value.established == "cr > 2"
 
 
 def test_k33_not_2_critical(k33):
@@ -316,6 +327,50 @@ def test_critical_reports_are_pinned():
     ]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "92b47d3be557d1a5c56595ef4382f9227f37aac7c925c5cd578c7b7b01daa56f"
+
+
+def test_critical_searches_skewness_only_above_the_lower_bound(monkeypatch):
+    # the cr witnesses' lesser edges meet the skewness lower bound on every
+    # entry but the subdivided K5 (lower bound 0, sk 1); on K3,5 at k = 3
+    # cr 4 is above it, but the 4 pairs have only 3 distinct lesser edges
+    searched, counts = [], {}
+    search = bounds.skewness_exact
+    monkeypatch.setattr(bounds, "skewness_exact", lambda g: searched.append(g) or search(g))
+    for name, (make, k, _) in CRITICAL.items():
+        searched.clear()
+        certify_critical_bounds(make(), k)
+        counts[name] = len(searched)
+    assert counts == {name: int(name == "K5 subdivided k1") for name in CRITICAL}, counts
+
+
+def _random_graphs(seed, count):
+    """``count`` random connected graphs with minimum degree 3, 6-8
+    vertices and at most 16 edges."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        n = rng.randint(6, 8)
+        h = nx.gnm_random_graph(n, rng.randint(math.ceil(3 * n / 2), 16), seed=rng.randrange(10**9))
+        if nx.is_connected(h) and min(d for _, d in h.degree()) >= 3:
+            found.append(Graph.from_networkx(h))
+    return found
+
+
+def test_lower_bound_certificate_matches_the_search():
+    # differential against skewness_exact: whenever the cr witnesses'
+    # lesser edges are accepted as exact, their size is the searched sk.
+    # On five of the random graphs they are one above the lower bound and
+    # sk equals it, so accepting one more than the bound fails here
+    graphs = [make() for make, _, _ in CRITICAL.values()] + _random_graphs(3, 80)
+    fired = 0
+    for g in graphs:
+        removed = {e for wit in crossing_witnesses(g) for e, _ in wit.pairs}
+        sk = skewness_exact(g).value
+        assert sk <= len(removed), g.edges()
+        cert = certificate_at_lower_bound(g, removed)
+        if cert is not None:
+            fired += 1
+            assert cert.value == sk and cert.exact and cert.verify(g), g.edges()
+    assert fired > len(graphs) // 2, fired
 
 
 def test_petersen_is_bracketed_without_a_final_search(monkeypatch):

@@ -110,6 +110,23 @@ def test_critical_bracket_keeps_the_k_budget(runner):
     assert json.loads(res.stderr) == {"error": "cr exceeds budget on a component (cr > 2)"}
 
 
+@pytest.mark.parametrize("spec, k", [("complete:5", 6), ("bipartite:3:3", 9)])
+def test_critical_above_the_k_budget_is_a_verdict(runner, spec, k):
+    # k - 1 is above max_k = 4, but the search within max_k already finds
+    # cr <= 1 < k: a verdict, not a budget error
+    res = runner.invoke(main, ["critical", spec, "--k", str(k)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["critical"] is False and "cr" not in doc
+
+
+def test_critical_above_the_k_budget_reports_what_it_established(runner):
+    # cr(K6) = 3: no witness within max_k = 2, so k = 4 stays undecided
+    res = runner.invoke(main, ["critical", "complete:6", "--k", "4", "--max-k", "2"])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr) == {"error": "k=3 above budget 2 (cr > 2)"}
+
+
 def test_analyze_k6(runner):
     res = runner.invoke(main, ["analyze", "complete:6"])
     assert res.exit_code == 0

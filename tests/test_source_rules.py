@@ -121,7 +121,17 @@ def test_bounds_builds_no_planarization():
         for alias in node.names
     }
     assert from_oracle == {
-        "cr_at_most", "crossing_number", "DEFAULT_MAX_K", "DEFAULT_MAX_EDGES"}, from_oracle
+        "cr_at_most", "crossing_witnesses", "DEFAULT_MAX_K", "DEFAULT_MAX_EDGES"}, from_oracle
+
+
+def test_skewness_certificates_are_checked_in_one_module():
+    # every skewness certificate with a removal set is Euler-checked by
+    # skewness._certified, and only skewness.py calls it
+    found = {path.name: path.read_text().count("_certified(") for path in SOURCES}
+    assert found["skewness.py"] and not {n: k for n, k in found.items() if k and n != "skewness.py"}
+    callers = _callers(SOURCES[0].parent / "skewness.py", "_certified")
+    assert callers == ["certificate_at_lower_bound", "planar_subgraph_heuristic",
+                       "skewness_exact"], callers
 
 
 def test_automorphisms_have_one_format():
