@@ -4,8 +4,13 @@ Exact values come from a branch-and-bound over removal sets: every removal
 set must hit every Kuratowski subdivision, so branching on the edges of one
 witness subdivision per node is exhaustive. Only nodes that branch build a
 witness; the leaves of the search (depth 0) need a yes/no planarity test
-alone. A greedy planar-subgraph pass provides an upper-bound certificate for
-graphs beyond exact-search scale.
+alone. A node at depth 1 builds its witness in the Euler core of its graph
+(_euler_core), the subgraph left once vertices of degree <= 3 are peeled
+while Euler's bound is exceeded: 5-10 vertices and 10-25 edges on the
+benchmark's 22-31-edge graphs, so networkx's extraction re-tests a much
+smaller graph. A depth-1 answer does not depend on the witness (see
+_search), so no depth-1 result changes. A greedy planar-subgraph pass
+provides an upper-bound certificate for graphs beyond exact-search scale.
 
 Every certificate carries the Euler-checked embedding of g minus its removal
 set, which is its proof of planarity; the light cycle and the drawing work
@@ -114,6 +119,23 @@ def certificate_at_lower_bound(g: Graph, removed: Iterable[Edge]) -> Optional[Sk
     return _certified(g, removed, exact=True)
 
 
+def _euler_core(gn: nx.Graph) -> nx.Graph:
+    """gn itself when m <= 3n - 6; otherwise a copy of gn with vertices of
+    degree <= 3 deleted, repeatedly, while m > 3n - 6, which is then a
+    non-planar graph with n >= 5 and minimum degree >= 4 (K5 at n = 5).
+
+    Deleting a vertex of degree d changes m - 3n by 3 - d >= 0, so once
+    m > 3n - 6 it stays so, and the peeling runs until no vertex of degree
+    <= 3 is left: the core is the 4-core of gn. Every simple graph on 3 or
+    4 vertices has m <= 3n - 6, so from n >= 3 the count never falls below
+    5, and by Euler's bound m <= 3n - 6 for planar graphs on n >= 3
+    vertices the core is not planar. (A graph on at most 2 vertices peels
+    to the empty graph, planar as it is.)
+    """
+    n, m = gn.number_of_nodes(), gn.number_of_edges()
+    return gn if m <= 3 * n - 6 else nx.k_core(gn, 4)
+
+
 def _search(gn: nx.Graph, depth: int, banned: frozenset) -> Optional[List[Edge]]:
     """Removal set of size <= depth making gn planar, or None.
 
@@ -126,10 +148,19 @@ def _search(gn: nx.Graph, depth: int, banned: frozenset) -> Optional[List[Edge]]
     therefore takes the yes/no test, a single LR planarity test, whereas
     extracting a witness re-tests the graph about once per edge. Only
     nodes at depth >= 1 extract a witness, and they branch on its edges.
+
+    A node at depth 1 takes its witness from _euler_core(gn), whose
+    re-tests cost far less than gn's. Its answer is the least non-banned
+    edge e for which gn - e is planar (or [] for a planar gn, or None),
+    whichever witness it branches on: every such e lies in every
+    Kuratowski subgraph of gn, since that subgraph would survive in
+    gn - e otherwise, and a Kuratowski subgraph of the core is one of gn.
+    Deeper nodes keep gn's own witness, so their branch order stays that
+    of networkx's extraction on gn.
     """
     if depth == 0:
         return [] if planar_nx(gn) else None
-    witness = witness_nx(gn)
+    witness = witness_nx(_euler_core(gn) if depth == 1 else gn)
     if witness is None:
         return []
     for e in sorted(witness):

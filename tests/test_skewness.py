@@ -10,7 +10,7 @@ from crossbound.embedding import is_planar
 from crossbound.errors import CrossboundError
 from crossbound.generators import (complete, complete_bipartite, planar_plus,
                                    random_maximal_planar)
-from crossbound.graph import MAX_GRAPH_SIZE, Graph, delete_edges
+from crossbound.graph import MAX_GRAPH_SIZE, Graph, delete_edges, norm_edge
 from crossbound.skewness import (
     planar_subgraph_heuristic,
     skewness_exact,
@@ -212,3 +212,59 @@ def test_only_branching_nodes_build_witnesses(monkeypatch):
     calls.clear()
     assert skewness_exact(random_maximal_planar(10, random.Random(7))).value == 0
     assert calls == []
+
+
+def _depth_one_graphs():
+    """60 seeded graphs on 6-10 vertices, half with m > 3n - 6 and half
+    without: maximal planar plus 0-3 edges, and random ones with
+    2n <= m <= 3n - 3. Each comes with a random set of banned edges."""
+    rng = random.Random(45)
+    for i in range(60):
+        n = rng.randint(6, 10)
+        if i % 2:
+            gn = planar_plus(n, rng.randint(0, 3), rng)[0].to_networkx()
+        else:
+            gn = nx.gnm_random_graph(n, rng.randint(2 * n, 3 * n - 3), seed=rng.randrange(2 ** 31))
+        edges = sorted(norm_edge(*e) for e in gn.edges())
+        yield gn, frozenset(rng.sample(edges, rng.randint(0, len(edges) // 3)))
+
+
+def _least_planarizing_edge(gn, banned):
+    """[] for a planar gn, else [e] for the least non-banned edge e with
+    gn - e planar, else None: the scan of every edge."""
+    if nx.check_planarity(gn)[0]:
+        return []
+    for e in sorted(norm_edge(*e) for e in gn.edges()):
+        if e not in banned and nx.check_planarity(nx.restricted_view(gn, [], [e]))[0]:
+            return [e]
+    return None
+
+
+def test_depth_one_nodes_match_a_scan_of_every_edge():
+    # a depth-1 node branches on a witness of the Euler core, not of gn;
+    # its answer is the least non-banned planarizing edge all the same
+    kinds = set()
+    for gn, banned in _depth_one_graphs():
+        expected = _least_planarizing_edge(gn, banned)
+        assert skewness._search(gn.copy(), 1, banned) == expected, (sorted(gn.edges()), banned)
+        kinds.add(None if expected is None else len(expected))
+    assert kinds == {None, 0, 1}
+
+
+def test_euler_core_is_a_non_planar_subgraph_of_minimum_degree_four():
+    peeled = 0
+    for gn, _ in _depth_one_graphs():
+        n, m = gn.number_of_nodes(), gn.number_of_edges()
+        adjacency = [(v, list(nbrs)) for v, nbrs in gn.adjacency()]
+        core = skewness._euler_core(gn)
+        assert [(v, list(nbrs)) for v, nbrs in gn.adjacency()] == adjacency
+        if m <= 3 * n - 6:
+            assert core is gn
+            continue
+        assert core is not gn and set(core) <= set(gn)
+        assert all(gn.has_edge(*e) for e in core.edges())
+        assert min(d for _, d in core.degree()) >= 4
+        assert core.number_of_edges() >= 3 * core.number_of_nodes() - 5
+        assert not nx.check_planarity(core)[0]
+        peeled += core.number_of_nodes() < n
+    assert peeled > 0

@@ -134,6 +134,14 @@ def test_skewness_certificates_are_checked_in_one_module():
                        "skewness_exact"], callers
 
 
+def test_skewness_witnesses_are_built_only_in_the_search():
+    # a depth-1 node extracts its witness from the Euler core, deeper nodes
+    # from their own graph: both live in _search and nowhere else
+    skewness = SOURCES[0].parent / "skewness.py"
+    for name in ("witness_nx", "_euler_core"):
+        assert _callers(skewness, name) == ["_search"], name
+
+
 def test_automorphisms_have_one_format():
     # symmetries are vertex maps, as graph.automorphisms returns them: the
     # edge orbits of critical and the oracle's level walk map through them,
