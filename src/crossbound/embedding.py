@@ -9,6 +9,10 @@ invalid embedding can never escape this module. Face lengths then sum to
 
 Face weights are exact rationals, computed when read: a vertex
 contributes 1/deg once per appearance on the boundary walk.
+
+Every yes/no planarity test and every embedding runs crossbound's own
+left-right test (``_lr``), a port of networkx's that gives networkx's
+rotations exactly. networkx is used only to extract Kuratowski witnesses.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Collection, Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
+from ._lr import lr_rotation, lr_test
 from .errors import CrossboundError, GraphFormatError, NonPlanarError
 from .graph import Edge, Graph, components, norm_edge
 
@@ -96,13 +101,22 @@ class RotationEmbedding:
 
 
 def planar_nx(gn: nx.Graph) -> bool:
-    """Yes/no planarity test of a networkx graph; no witness is built."""
-    return nx.check_planarity(gn, counterexample=False)[0]
+    """Yes/no planarity test of a networkx graph: the LR test phase alone,
+    with no embedding and no witness built."""
+    return lr_test(gn.adj) is not None
 
 
 def witness_nx(gn: nx.Graph) -> Optional[FrozenSet[Edge]]:
     """Edges of a K5/K3,3 subdivision of a networkx graph, or None if it
-    is planar."""
+    is planar.
+
+    The one call left to networkx: its extraction deletes each edge in
+    gn's adjacency order and keeps those whose deletion would planarize
+    the rest, so the witness depends on that order. The skewness search
+    branches on this witness at depth >= 2, and the golden certificates
+    pin the removal sets that branch order finds; the benchmark's tracer
+    counts the search's nodes at this call too.
+    """
     ok, cex = nx.check_planarity(gn, counterexample=True)
     if ok:
         return None
@@ -110,7 +124,7 @@ def witness_nx(gn: nx.Graph) -> Optional[FrozenSet[Edge]]:
 
 
 def is_planar(g: Graph) -> bool:
-    return g.n == 0 or planar_nx(g.to_networkx())
+    return lr_test(g.adjacency()) is not None
 
 
 def kuratowski_witness(g: Graph) -> FrozenSet[Edge]:
@@ -141,12 +155,14 @@ def embed_components(g: Graph) -> Optional[Embeddings]:
 
     The one place an LR test becomes a rotation system: it embeds each
     component on its own, as embed would. No witness is built, so a
-    non-planar g costs the one test.
+    non-planar g costs the one test. The test runs on g's sorted
+    adjacency, which is what networkx's LR copy of g.to_networkx() sees,
+    so the rotation is the one networkx would give.
     """
-    ok, emb = nx.check_planarity(g.to_networkx(), counterexample=False)
-    if not ok:
+    state = lr_test(g.adjacency())
+    if state is None:
         return None
-    rotation = emb.get_data()
+    rotation = lr_rotation(state)
     return tuple(RotationEmbedding(c, rotation) for c in components(g) if c.m)
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 from networkx.readwrite.graph6 import data_to_n, n_to_data
@@ -71,6 +72,10 @@ class Graph:
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         return self._adj[v]
+
+    def adjacency(self) -> Mapping[int, Tuple[int, ...]]:
+        """Each vertex's sorted neighbors, in vertex order: a read-only view."""
+        return MappingProxyType(self._adj)
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

@@ -1,9 +1,13 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+from crossbound import _lr
+from crossbound._lr import lr_rotation, lr_test
 from crossbound.embedding import (
     RotationEmbedding,
     dual,
@@ -12,11 +16,12 @@ from crossbound.embedding import (
     embedding_of,
     is_planar,
     kuratowski_witness,
+    planar_nx,
     triangulate,
 )
 from crossbound import embedding
 from crossbound.errors import CrossboundError, GraphFormatError, NonPlanarError
-from crossbound.generators import random_maximal_planar, random_planar_min_degree3
+from crossbound.generators import planar_plus, random_maximal_planar, random_planar_min_degree3
 from crossbound.graph import Graph, min_degree
 
 from oracles import chord_by_chord_triangulate, independent_is_planar
@@ -269,3 +274,104 @@ def test_triangulate_builds_one_embedding(monkeypatch):
     tri, fills = triangulate(emb)
     assert len(fills) == 3 * 12 - 6 - 12
     assert builds == [3 * 12 - 6]
+
+
+def _lr_copy_adjacency(gn):
+    """The adjacency networkx's LR test sees: it copies gn edge by edge, so
+    each vertex lists its neighbors earlier in node order first, then its
+    later ones in gn's own order."""
+    adj = {v: [] for v in gn}
+    for u, w in gn.edges():
+        adj[u].append(w)
+        adj[w].append(u)
+    return adj
+
+
+def _lr_corpus(rng):
+    for _ in range(500):  # G(n, m), up to three edges per vertex
+        n = rng.randint(1, 16)
+        m = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
+        yield nx.gnm_random_graph(n, m, seed=rng.randrange(10**9))
+    for _ in range(300):
+        yield random_maximal_planar(rng.randint(3, 40), rng).to_networkx()
+    for _ in range(500):  # _search's remove and re-add moves edges to the end
+        g, extra = planar_plus(rng.randint(6, 20), rng.randint(1, 3), rng)
+        gn = g.to_networkx()
+        dropped = list(extra) + rng.sample(g.edges(), rng.randint(0, 4))
+        rng.shuffle(dropped)
+        gn.remove_edges_from(dropped)
+        gn.add_edges_from(dropped[:rng.randint(0, len(dropped))])
+        yield gn
+    for _ in range(400):  # thinned triangulations
+        g = random_maximal_planar(rng.randint(4, 40), rng)
+        gn = g.to_networkx()
+        gn.remove_edges_from(rng.sample(g.edges(), rng.randint(1, g.m // 2)))
+        yield gn
+    for _ in range(400):  # trees plus edges, with isolated vertices
+        n = rng.randint(1, 30)
+        gn = nx.random_labeled_tree(n, seed=rng.randrange(10**9))
+        for _ in range(rng.randint(0, n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                gn.add_edge(u, v)
+        gn.add_nodes_from(range(n, n + rng.randint(0, 3)))
+        yield gn
+
+
+def test_lr_kernel_is_networkx_lr_test():
+    # on the adjacency networkx's copy sees, the test phase answers as
+    # check_planarity does and the embed phase gives get_data's rotation;
+    # on gn's own order the test phase (planar_nx) answers the same
+    planar = nonplanar = 0
+    for gn in _lr_corpus(random.Random(2026)):
+        ok, emb = nx.check_planarity(gn)
+        state = lr_test(_lr_copy_adjacency(gn))
+        assert (state is not None) == ok == planar_nx(gn), list(gn.edges())
+        if ok:
+            assert lr_rotation(state) == emb.get_data(), list(gn.edges())
+            planar += 1
+        else:
+            nonplanar += 1
+    assert planar + nonplanar >= 2000 and planar > 1000 and nonplanar > 500
+
+
+def test_lr_kernel_compares_conflict_pairs_by_identity():
+    # networkx compares the top of the conflict-pair stack with an edge's
+    # stack bottom by object identity. Two distinct list pairs are equal
+    # only when both are empty, which no graph above produces, so the
+    # differential cannot tell == from is; this rule keeps the identity
+    tree = ast.parse(Path(_lr.__file__).read_text())
+    ops = [
+        type(op).__name__
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(c, ast.Subscript) and getattr(c.value, "id", None) == "bottom"
+                for c in node.comparators)
+        for op in node.ops
+    ]
+    assert ops == ["Is"], ops
+
+
+def test_embed_components_rotation_is_networkx():
+    # g's sorted adjacency is what networkx's copy of g.to_networkx() sees
+    rng = random.Random(7)
+    for _ in range(100):
+        g = random_planar_min_degree3(rng.randint(4, 60), rng)
+        g = Graph(g.vertices, rng.sample(g.edges(), rng.randint(g.m // 2, g.m)))
+        data = nx.check_planarity(g.to_networkx())[1].get_data()
+        assert is_planar(g)
+        for emb in embed_components(g):
+            assert emb.rotation == {v: tuple(data[v]) for v in emb.graph.vertices}
+
+
+@pytest.mark.parametrize("gn", [
+    nx.path_graph(2000), nx.cycle_graph(2000),
+    nx.convert_node_labels_to_integers(nx.grid_2d_graph(40, 50))], ids=["path", "cycle", "grid"])
+def test_lr_kernel_is_iterative(gn):
+    # a DFS 2000 deep: the kernel keeps its own stacks, so hostile input
+    # at MAX_GRAPH_SIZE cannot raise RecursionError
+    g = Graph.from_networkx(gn)
+    assert planar_nx(gn) and is_planar(g)
+    (emb,) = embed_components(g)
+    data = nx.check_planarity(g.to_networkx())[1].get_data()
+    assert emb.rotation == {v: tuple(data[v]) for v in g.vertices}

@@ -6,6 +6,7 @@ import random
 import networkx as nx
 import pytest
 
+from crossbound import embedding
 from crossbound.embedding import embed, is_planar
 from crossbound.errors import (CrossboundError, GraphFormatError, MissingEdgeError,
                                NonPlanarError)
@@ -245,16 +246,16 @@ def test_every_dummy_is_a_crossing(k5, k6, petersen):
 
 def test_one_embedding_per_drawing(monkeypatch, k6, petersen):
     """The base embedding is the certificate's: skewness_exact's checked
-    one costs no networkx call, a hand-built certificate's one. Every route
-    is spliced into it, and the SVG is laid out in the result, with no
+    one costs no LR test, a hand-built certificate's one. Every route is
+    spliced into it, and the SVG is laid out in the result, with no
     planarity re-test of the planarization."""
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(adj):
         calls.append(1)
-        return check_planarity(*args, **kwargs)
+        return lr_test(adj)
 
-    check_planarity = nx.check_planarity
+    lr_test = embedding.lr_test
     pp, _ = planar_plus(12, 3, random.Random(7))
     for g in (pp, k6, petersen):
         cert = skewness_exact(g)
@@ -262,7 +263,7 @@ def test_one_embedding_per_drawing(monkeypatch, k6, petersen):
         for c, expected in ((cert, 0), (by_hand, 1)):
             calls.clear()
             with monkeypatch.context() as m:
-                m.setattr(nx, "check_planarity", counted)
+                m.setattr(embedding, "lr_test", counted)
                 render(build_drawing(g, c), "svg")
             assert len(calls) == expected
 

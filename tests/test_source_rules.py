@@ -25,12 +25,6 @@ def test_check_planarity_only_in_embedding():
     assert "embedding.py" in {path.name for path in SOURCES} and not found, found
 
 
-def test_rotation_from_networkx_has_one_owner():
-    # one place turns networkx's embedding into a rotation system
-    found = {path.name: path.read_text().count("get_data(") for path in SOURCES}
-    assert {name: k for name, k in found.items() if k} == {"embedding.py": 1}, found
-
-
 def _callers(path: Path, name: str):
     """The top-level functions of a source file, once per call they make to
     ``name`` (as a plain or an attribute call)."""
@@ -55,12 +49,39 @@ def _imported(path: Path):
     }
 
 
-def test_check_planarity_has_three_owners():
-    # a yes/no test, a witness, and the one LR test that becomes a rotation system
+def test_check_planarity_has_one_owner():
+    # networkx's test is left only to extract witnesses
     found = {path.name: path.read_text().count("check_planarity(") for path in SOURCES}
-    assert {name: k for name, k in found.items() if k} == {"embedding.py": 3}, found
+    assert {name: k for name, k in found.items() if k} == {"embedding.py": 1}, found
     owners = _callers(SOURCES[0].parent / "embedding.py", "check_planarity")
-    assert owners == ["embed_components", "planar_nx", "witness_nx"], owners
+    assert owners == ["witness_nx"], owners
+
+
+def test_lr_kernel_has_three_callers():
+    # two yes/no tests and the one LR test that becomes a rotation system
+    embedding = SOURCES[0].parent / "embedding.py"
+    callers = _callers(embedding, "lr_test")
+    assert callers == ["embed_components", "is_planar", "planar_nx"], callers
+    assert _callers(embedding, "lr_rotation") == ["embed_components"]
+
+
+def test_no_rotation_is_read_from_networkx():
+    # every rotation system comes from the LR kernel, none from networkx
+    found = [path.name for path in SOURCES if "get_data(" in path.read_text()]
+    assert SOURCES and not found, found
+
+
+def test_only_embedding_reaches_the_lr_kernel():
+    # the kernel is private to the planarity layer
+    found = [
+        path.name
+        for path in SOURCES
+        if path.name not in ("_lr.py", "embedding.py")
+        and (_imported(path) & {"_lr", "lr_test", "lr_rotation"}
+             or "lr_test" in path.read_text() or "lr_rotation" in path.read_text())
+    ]
+    assert "_lr.py" in {path.name for path in SOURCES} and not found, found
+    assert {"_lr", "lr_test", "lr_rotation"} <= _imported(SOURCES[0].parent / "embedding.py")
 
 
 def test_cycle_witness_has_one_constructor():
