@@ -9,10 +9,11 @@ wherever it can, off the oracle's crossing witnesses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from .errors import BudgetExceededError, CrossboundError, NotCriticalError
 from .graph import Graph, automorphisms, component_roots, delete_edge, min_degree, norm_edge
@@ -92,22 +93,31 @@ def critical_degree_bound(k: int, delta: int, n: int) -> BoundValue:
     return exact if exact is not None else expr
 
 
-def _holds(d: Tuple[int, ...], need_sum: Fraction, surplus_terms: int, cap: int) -> bool:
-    if sum(Fraction(1, x) for x in d) <= need_sum:
-        return True  # hypothesis fails; nothing to check
-    return sum(x - 2 for x in d[:surplus_terms]) <= cap
+# (count, need_sum, cap) of each implication verify_degree_reciprocal_bounds states
+_RECIPROCAL_PARTS = ((3, Fraction(1, 2), 10), (4, Fraction(1), 5), (5, Fraction(3, 2), 4))
 
 
-def _enumerate_part(count: int, need_sum: Fraction, surplus_terms: int, cap: int, d_max: int) -> bool:
-    """Check one implication over all nondecreasing degree tuples, pruning
-    branches whose reciprocal sum can no longer exceed the threshold."""
+def _enumerate_part(count: int, need_sum: Fraction, cap: int) -> bool:
+    """Check one implication for every nondecreasing degree tuple d_i >= 3.
+
+    Exact with finitely many prefixes: the conclusion reads only the first
+    count - 1 degrees, and the reciprocal sum falls as the last degree
+    grows, so a prefix of count - 1 degrees has a last degree that meets
+    the hypothesis iff its own largest degree does. A prefix is extended by
+    d only while acc + (entries left)/d > need_sum, since every later entry
+    is >= d; at a leaf that is the hypothesis with its largest degree last,
+    so the leaf checks the conclusion alone.
+
+    The loop over d ends: it runs on prefixes of at most count - 2 degrees,
+    each 1/d <= 1/3, so acc <= (count - 2)/3 < need_sum in all three parts
+    (1/3 < 1/2, 2/3 < 1, 1 < 3/2), while (entries left)/d falls to 0."""
 
     def rec(prefix, acc):
-        if len(prefix) == count:
-            return _holds(prefix, need_sum, surplus_terms, cap)
+        if len(prefix) == count - 1:
+            return sum(x - 2 for x in prefix) <= cap
         lo = prefix[-1] if prefix else 3
         remaining = count - len(prefix)
-        for d in range(lo, d_max + 1):
+        for d in itertools.count(lo):
             if acc + Fraction(remaining, d) <= need_sum:
                 break  # larger d only shrinks the sum; hypothesis unreachable
             if not rec(prefix + (d,), acc + Fraction(1, d)):
@@ -117,26 +127,15 @@ def _enumerate_part(count: int, need_sum: Fraction, surplus_terms: int, cap: int
     return rec((), Fraction(0))
 
 
-def verify_degree_reciprocal_bounds(d_max: int = 60) -> bool:
-    """Exhaustively verify, in exact rationals, the three implications on
-    nondecreasing degree tuples d_i >= 3:
+def verify_degree_reciprocal_bounds() -> bool:
+    """Verify, in exact rationals, the three implications for every
+    nondecreasing degree tuple d_i >= 3:
 
       sum of 3 reciprocals > 1/2  =>  (d1-2) + (d2-2)          <= 10
       sum of 4 reciprocals > 1    =>  (d1-2) + ... + (d3-2)    <= 5
       sum of 5 reciprocals > 3/2  =>  (d1-2) + ... + (d4-2)    <= 4
-
-    Any tuple with d1 > 6 already violates every hypothesis, so d_max = 60
-    covers all hypothesis-satisfying tuples with a wide margin.
     """
-    if d_max < 3:
-        raise CrossboundError("d_max must be >= 3")
-    if d_max > 1000:  # the run time grows with d_max
-        raise CrossboundError("d_max must be <= 1000")
-    return (
-        _enumerate_part(3, Fraction(1, 2), 2, 10, d_max)
-        and _enumerate_part(4, Fraction(1), 3, 5, d_max)
-        and _enumerate_part(5, Fraction(3, 2), 4, 4, d_max)
-    )
+    return all(_enumerate_part(*part) for part in _RECIPROCAL_PARTS)
 
 
 def is_k_crossing_critical(

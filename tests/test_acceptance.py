@@ -141,7 +141,7 @@ def test_criterion_6_criticality_bounds():
 
 def test_criterion_7_degree_reciprocal_lemma():
     start = time.monotonic()
-    ok = verify_degree_reciprocal_bounds(60)
+    ok = verify_degree_reciprocal_bounds()
     elapsed = time.monotonic() - start
     _report("criterion-7 degree-reciprocal lemma", ok and elapsed < 5.0, f"{elapsed:.2f}s")
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -130,19 +131,42 @@ def test_degree3_cycle_bound_never_beats_degree_bound():
 
 
 def test_verify_degree_reciprocal_bounds():
-    assert verify_degree_reciprocal_bounds(60)
-    assert verify_degree_reciprocal_bounds(3)
-    with pytest.raises(CrossboundError):
-        verify_degree_reciprocal_bounds(2)
+    # all degrees at once: there is no degree cap to pass
+    assert verify_degree_reciprocal_bounds()
+    with pytest.raises(TypeError):
+        verify_degree_reciprocal_bounds(60)
 
 
 def test_reciprocal_bounds_are_sharp():
-    # (3, 11, 11): reciprocal sum 17/33 > 1/2 and surplus exactly 10, so a
-    # cap of 9 must fail while the shipped cap of 10 passes
-    from crossbound.bounds import _enumerate_part
+    # each tuple meets its part's hypothesis with surplus exactly the
+    # shipped cap, so cap - 1 must fail while the cap passes
+    sharp = [(3, 11, 11), (3, 3, 5, 5), (3, 3, 3, 3, 5)]
+    for (count, need_sum, cap), d in zip(bounds._RECIPROCAL_PARTS, sharp):
+        assert len(d) == count and sum(Fraction(1, x) for x in d) > need_sum
+        assert sum(x - 2 for x in d[:-1]) == cap
+        assert not bounds._enumerate_part(count, need_sum, cap - 1)
+        assert bounds._enumerate_part(count, need_sum, cap)
 
-    assert not _enumerate_part(3, Fraction(1, 2), 2, 9, 60)
-    assert _enumerate_part(3, Fraction(1, 2), 2, 10, 60)
+
+def _largest_surplus(count, need_sum, degrees):
+    # the reference: every nondecreasing tuple of the given degrees, each
+    # hypothesis summed exactly over a common denominator
+    denom = math.lcm(*degrees, need_sum.denominator)
+    share = {d: denom // d for d in degrees}
+    need = need_sum * denom
+    return max(sum(d - 2 for d in t[:-1])
+               for t in itertools.combinations_with_replacement(degrees, count)
+               if sum(share[d] for d in t) > need)
+
+
+@pytest.mark.parametrize("part", bounds._RECIPROCAL_PARTS, ids=lambda p: f"count-{p[0]}")
+def test_enumeration_matches_brute_force(part):
+    # every hypothesis-meeting tuple's prefix has degrees <= 11, so degrees
+    # 3..40 reach them all; the shipped cap is the least one that holds
+    count, need_sum, shipped = part
+    largest = _largest_surplus(count, need_sum, range(3, 41))
+    for cap in range(shipped - 2, shipped + 2):
+        assert bounds._enumerate_part(count, need_sum, cap) == (largest <= cap) == (cap >= shipped)
 
 
 def test_criticality_examples(k5, k6, k33, c4):

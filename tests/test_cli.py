@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -220,19 +222,56 @@ def test_critical_min_degree_2(runner, tmp_path):
 
 
 def test_verify_lemma(runner):
-    res = runner.invoke(main, ["verify-lemma", "--d-max", "40"])
+    res = runner.invoke(main, ["verify-lemma"])
     assert res.exit_code == 0
-    assert json.loads(res.output) == {"d_max": 40, "holds": True}
+    assert json.loads(res.output) == {"holds": True}
 
 
 def test_verify_lemma_refuses_a_huge_d_max(runner):
-    # the run time grows with d_max: past 1000 it is refused, not run
+    # the check covers every degree, so --d-max is no longer an option
     res = runner.invoke(main, ["verify-lemma", "--d-max", "1000000000"])
     assert res.exit_code == 1 and res.stdout == ""
-    assert json.loads(res.stderr) == {"error": "d_max must be <= 1000"}
-    res = runner.invoke(main, ["verify-lemma", "--d-max", "1000"])
+    assert json.loads(res.stderr) == {"error": "No such option '--d-max'."}
+
+
+@pytest.mark.parametrize("args", [
+    ["critical", "complete:5"],
+    ["oracle", "complete:5", "--max-k", "x"],
+    ["verify-lemma", "--d-max", "60"],
+], ids=["missing-option", "bad-value", "unknown-option"])
+def test_usage_errors_are_json_errors(runner, args):
+    # exit 2 is draw's bound-violation finding, not a usage error
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1 and res.stdout == ""
+    assert "error" in json.loads(res.stderr)
+
+
+def test_verify_lemma_help_lists_only_out_and_pretty(runner):
+    res = runner.invoke(main, ["verify-lemma", "--help"])
     assert res.exit_code == 0
-    assert json.loads(res.output) == {"d_max": 1000, "holds": True}
+    assert re.findall(r"--[a-z-]+", res.output) == ["--out", "--pretty", "--help"]
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "complete:5", "--out", "{tmp}/no/such/dir/x.json"],
+    ["draw", "complete:5", "--svg", "{tmp}/no/such/dir/x.svg"],
+    ["generate", "complete:5", "--out", "{tmp}"],
+], ids=["analyze-out", "draw-svg", "generate-out"])
+def test_unwritable_output_is_error(runner, tmp_path, args):
+    res = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert str(tmp_path) in json.loads(res.stderr)["error"]
+
+
+def test_readme_cli_examples_run(runner):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(c[0] == "crossbound" for c in commands)
+    with runner.isolated_filesystem():
+        for command in commands:
+            res = runner.invoke(main, command[1:])
+            assert res.exit_code == 0, (command, res.output, res.stderr)
 
 
 def test_reruns_are_byte_identical(runner, tmp_path):
