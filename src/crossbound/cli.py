@@ -82,9 +82,7 @@ def _resolve_graph(spec: str, fmt: str, seed: int) -> Graph:
 
 
 def _meta(spec: str, g: Graph, seed: int, **budgets) -> dict:
-    canonical = serialize_graph(
-        Graph(range(g.n), _relabel_edges(g)), "graph6"
-    )
+    canonical = serialize_graph(g, "graph6")  # every input graph has ids 0..n-1
     return {
         "tool": "crossbound",
         "version": __version__,
@@ -93,11 +91,6 @@ def _meta(spec: str, g: Graph, seed: int, **budgets) -> dict:
         "seed": seed,
         "budgets": dict(sorted(budgets.items())),
     }
-
-
-def _relabel_edges(g: Graph):
-    relabel = {v: i for i, v in enumerate(g.vertices)}
-    return tuple((relabel[u], relabel[v]) for u, v in g.edges())
 
 
 def _rat(x) -> Optional[str]:

@@ -1,11 +1,12 @@
 """Planarity, combinatorial embeddings, faces, duals, and triangulation.
 
 An embedding is stored as a rotation system: a cyclic order of neighbors
-around each vertex. Faces are derived by the standard next-edge walk.
-Construction checks that each rotation is a permutation of its vertex's
-non-empty neighborhood and that the faces satisfy Euler's formula, so an
-invalid embedding can never escape this module. Face lengths then sum to
-2|E| and face weights to |V| by construction.
+around each vertex, of any graph, connected or not. Faces are derived by
+the standard next-edge walk. Construction checks that each rotation is a
+permutation of its vertex's neighborhood and that the faces satisfy
+Euler's formula in every component, so an invalid embedding can never
+escape this module. Face lengths then sum to 2|E| and face weights to |V|
+by construction.
 
 Face weights are exact rationals, computed when read: a vertex
 contributes 1/deg once per appearance on the boundary walk.
@@ -26,7 +27,7 @@ import networkx as nx
 
 from ._lr import lr_rotation, lr_test
 from .errors import CrossboundError, GraphFormatError, NonPlanarError
-from .graph import Edge, Graph, components, norm_edge
+from .graph import Edge, Graph, component_roots, components, norm_edge
 
 
 @dataclass(frozen=True)
@@ -60,17 +61,26 @@ class RotationEmbedding:
         self.graph = graph
         self.rotation = {v: tuple(rotation.get(v, ())) for v in graph.vertices}
         for v, nbrs in self.rotation.items():
-            if not nbrs or tuple(sorted(nbrs)) != graph.neighbors(v):
+            if tuple(sorted(nbrs)) != graph.neighbors(v):
                 raise GraphFormatError(
-                    f"rotation at vertex {v} is empty or not a permutation of its neighbors")
-        self.faces, self._face_of = self._trace_faces()
-        if graph.n - graph.m + len(self.faces) != 2:
+                    f"rotation at vertex {v} is not a permutation of its neighbors")
+        roots = component_roots(graph.vertices, graph.edges())
+        parts = len(set(roots.values()))
+        self.faces, self._face_of = self._trace_faces(roots if parts > 1 else None)
+        # a connected rotation system of genus g has V-E+F = 2 - 2g <= 2, and
+        # an isolated vertex 1, so the sum meets 2 per component with an edge
+        # and 1 per isolated vertex exactly when every component is plane
+        euler = 2 * parts - sum(1 for nbrs in self.rotation.values() if not nbrs)
+        if graph.n - graph.m + len(self.faces) != euler:
             raise NonPlanarError(
                 f"rotation system is not planar: V-E+F = "
-                f"{graph.n}-{graph.m}+{len(self.faces)} != 2"
+                f"{graph.n}-{graph.m}+{len(self.faces)} != {euler}"
             )
 
-    def _trace_faces(self):
+    def _trace_faces(self, roots: Optional[Dict[int, int]]):
+        """Faces in order of their least directed edge; with ``roots``, a
+        disconnected graph's, component by component in components() order,
+        so each component's faces are those of its own embedding."""
         rot = self.rotation
         pos = {
             (v, w): i for v, nbrs in rot.items() for i, w in enumerate(nbrs)
@@ -78,7 +88,10 @@ class RotationEmbedding:
         seen = set()
         faces: List[FaceRecord] = []
         face_of: Dict[Tuple[int, int], int] = {}
-        for start in sorted(pos):
+        starts = sorted(pos)
+        if roots is not None:
+            starts.sort(key=lambda d: roots[d[0]])  # stable: still least first in each
+        for start in starts:
             if start in seen:
                 continue
             walk = []
@@ -144,40 +157,32 @@ def require_connected(g: Graph) -> None:
         raise GraphFormatError("embedding needs a connected graph")
 
 
-# One RotationEmbedding per component of a graph that has an edge, in
-# components() order; an isolated vertex needs none.
-Embeddings = Tuple[RotationEmbedding, ...]
+def embed_components(g: Graph) -> Optional[RotationEmbedding]:
+    """Euler-checked embedding of g, connected or not, from one LR test, or
+    None if g is not planar.
 
-
-def embed_components(g: Graph) -> Optional[Embeddings]:
-    """Euler-checked embedding of every component of g with an edge, from
-    one LR test of the whole graph, or None if g is not planar.
-
-    The one place an LR test becomes a rotation system: it embeds each
-    component on its own, as embed would. No witness is built, so a
-    non-planar g costs the one test. The test runs on g's sorted
-    adjacency, which is what networkx's LR copy of g.to_networkx() sees,
-    so the rotation is the one networkx would give.
+    The one place an LR test becomes a rotation system. No witness is
+    built, so a non-planar g costs the one test. The test runs on g's
+    sorted adjacency, which is what networkx's LR copy of g.to_networkx()
+    sees, so the rotation is the one networkx would give.
     """
     state = lr_test(g.adjacency())
     if state is None:
         return None
-    rotation = lr_rotation(state)
-    return tuple(RotationEmbedding(c, rotation) for c in components(g) if c.m)
+    return RotationEmbedding(g, lr_rotation(state))
 
 
-def embedding_of(g: Graph, given: Optional[Embeddings] = None) -> Embeddings:
-    """The embedding of every component of g with an edge, as
-    embed_components gives it.
+def embedding_of(g: Graph, given: Optional[RotationEmbedding] = None) -> RotationEmbedding:
+    """The embedding of g, as embed_components gives it.
 
-    ``given`` is returned if it is of exactly those components, in order;
-    each is Euler-checked, so it certifies g planar with no LR test. A
-    given embedding of any other graph raises CrossboundError. With none
-    given, one is built, and a non-planar g raises NonPlanarError carrying
-    a Kuratowski subdivision witness.
+    ``given`` is returned if it is an embedding of g itself; it is
+    Euler-checked, so it certifies g planar with no LR test. A given
+    embedding of any other graph raises CrossboundError. With none given,
+    one is built, and a non-planar g raises NonPlanarError carrying a
+    Kuratowski subdivision witness.
     """
     if given is not None:
-        if tuple(e.graph for e in given) != tuple(c for c in components(g) if c.m):
+        if given.graph != g:
             raise CrossboundError("the embedding given is not one of this graph")
         return given
     built = embed_components(g)
@@ -187,11 +192,10 @@ def embedding_of(g: Graph, given: Optional[Embeddings] = None) -> Embeddings:
 
 
 def embed(g: Graph) -> RotationEmbedding:
-    """embedding_of for a connected graph with >= 2 vertices: its one
+    """embedding_of for a connected graph with >= 2 vertices: its
     embedding, or NonPlanarError carrying a Kuratowski subdivision witness."""
     require_connected(g)
-    (emb,) = embedding_of(g)
-    return emb
+    return embedding_of(g)
 
 
 def dual(emb: RotationEmbedding) -> Dict[int, List[Tuple[int, Edge]]]:
@@ -263,12 +267,13 @@ def triangulate(emb: RotationEmbedding) -> Tuple[RotationEmbedding, FrozenSet[Ed
     a refinement of the input embedding: every input face is the union of
     output faces separated only by fill edges. Fill edges never duplicate
     existing edges, and the result is maximal planar (|E| = 3|V| - 6) for
-    inputs with >= 3 vertices.
+    inputs with >= 3 vertices; a disconnected input is a GraphFormatError.
 
     Faces are split in face-list order (least directed edge first), popped
     from a heap of their walks; a chord changes only the face it splits,
     and the embedding is built and validated once, at the end.
     """
+    require_connected(emb.graph)
     if emb.graph.n < 3:
         raise GraphFormatError("triangulation needs at least 3 vertices")
     rotation = {v: list(nbrs) for v, nbrs in emb.rotation.items()}

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from .embedding import Embeddings, embedding_of
+from .embedding import RotationEmbedding, embedding_of
 from .errors import (BudgetExceededError, CrossboundError, InductionFallbackError,
                      NotACycleError)
 from .graph import (Edge, Graph, contract_edges, delete_edge, delete_edges,
@@ -113,7 +113,7 @@ def brute_force_min_mu(g: Graph, max_len: int) -> CycleWitness:
     return best
 
 
-def light_cycle_planar(g: Graph, embedding: Optional[Embeddings] = None) -> CycleWitness:
+def light_cycle_planar(g: Graph, embedding: Optional[RotationEmbedding] = None) -> CycleWitness:
     """A cycle with mu <= 10 in a planar graph with minimum degree >= 3.
 
     Found by embedding g and returning the first face whose weight w
@@ -125,17 +125,16 @@ def light_cycle_planar(g: Graph, embedding: Optional[Embeddings] = None) -> Cycl
     """
     if min_degree(g) < 3:
         raise CrossboundError("light_cycle_planar needs minimum degree >= 3")
-    for emb in embedding_of(g, embedding):
-        for f in emb.faces:
-            if f.weight - Fraction(f.length, 2) + 1 > 0:
-                if not f.is_simple_cycle():
-                    continue
-                wit = _witness(g, f.boundary)
-                if wit.mu > 10 or f.length > 5:
-                    raise CrossboundError(
-                        f"face-weight selection broke its guarantee: mu={wit.mu}, l={f.length}"
-                    )
-                return wit
+    for f in embedding_of(g, embedding).faces:
+        if f.weight - Fraction(f.length, 2) + 1 > 0:
+            if not f.is_simple_cycle():
+                continue
+            wit = _witness(g, f.boundary)
+            if wit.mu > 10 or f.length > 5:
+                raise CrossboundError(
+                    f"face-weight selection broke its guarantee: mu={wit.mu}, l={f.length}"
+                )
+            return wit
     raise CrossboundError("no qualifying face found (is the graph planar with min degree 3?)")
 
 
@@ -213,7 +212,7 @@ def _lift_cycle(
 
 def _induction(
     g: Graph, e0: List[Edge], trace: Optional[List[ChordEvent]],
-    embedding: Optional[Embeddings] = None,
+    embedding: Optional[RotationEmbedding] = None,
 ) -> CycleWitness:
     """One delete/contract/lift level; ``embedding``, if known, is that of
     g - e0, and the last level (e0 empty) searches it or builds one.
@@ -277,7 +276,7 @@ def light_cycle_general(
     g: Graph,
     e0: Iterable[Edge],
     trace: Optional[List[ChordEvent]] = None,
-    embedding: Optional[Embeddings] = None,
+    embedding: Optional[RotationEmbedding] = None,
 ) -> CycleWitness:
     """A cycle with mu <= t + 10, where removing the t edges in e0 leaves
     g planar and the minimum degree of g is at least 3.

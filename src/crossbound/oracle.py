@@ -29,11 +29,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-import networkx as nx
-
-from .embedding import planar_nx
+from .embedding import is_planar
 from .errors import BudgetExceededError, CrossboundError
-from .graph import Edge, Graph, automorphisms, components, girth, norm_edge
+from .graph import Edge, Graph, automorphisms, components, delete_edges, girth, norm_edge
 from .skewness import edge_count_bound, skewness_lower_bound
 
 DEFAULT_MAX_K = 4
@@ -72,27 +70,23 @@ def _partners(pairs) -> Dict[Edge, List[Edge]]:
     return crossings
 
 
-def planarize_config(g: Graph, pairs, orders: Dict[Edge, Tuple[Edge, ...]]) -> nx.Graph:
-    """The planarization graph of a crossing configuration, as a networkx
-    graph ready for the planarity test.
+def planarize_config(g: Graph, pairs, orders: Dict[Edge, Tuple[Edge, ...]]) -> Graph:
+    """The planarization graph of a crossing configuration.
 
     Each edge becomes a chain through its crossing dummies (in the given
-    order, oriented from the low endpoint); each crossing pair shares one
-    dummy. Dummy ids start above the host graph's ids.
+    order, oriented from the low endpoint), and an uncrossed edge is its
+    own one-edge chain; each crossing pair shares one dummy. Dummy ids
+    start above the host graph's ids.
     """
     next_id = (max(g.vertices) + 1) if g.n else 0
     dummy = {p: i for i, p in enumerate(sorted(pairs), start=next_id)}
     crossings = _partners(pairs)
-    gn = nx.Graph()
-    gn.add_nodes_from(g.vertices)
+    chains = []
     for e in g.edges():
-        partners = crossings.get(e)
-        if not partners:
-            gn.add_edge(*e)
-            continue
-        seq = orders.get(e, tuple(sorted(partners)))
-        nx.add_path(gn, [e[0]] + [dummy[tuple(sorted((e, f)))] for f in seq] + [e[1]])
-    return gn
+        seq = orders.get(e, tuple(sorted(crossings.get(e, ()))))
+        chain = [e[0]] + [dummy[tuple(sorted((e, f)))] for f in seq] + [e[1]]
+        chains += zip(chain, chain[1:])
+    return Graph(g.vertices, chains)
 
 
 def _combo_witness(g: Graph, combo) -> Optional[CrossingConfig]:
@@ -109,14 +103,12 @@ def _combo_witness(g: Graph, combo) -> Optional[CrossingConfig]:
     multi = [e for e, ps in crossings.items() if len(ps) > 1]
     if multi:
         rest = [(e, f) for e, f in combo if e not in multi and f not in multi]
-        free = planarize_config(g, rest, {})
-        free.remove_edges_from(multi)
-        if not planar_nx(free):
+        if not is_planar(planarize_config(delete_edges(g, multi), rest, {})):
             return None
     order_sets = [itertools.permutations(sorted(crossings[e])) for e in multi]
     for chosen in itertools.product(*order_sets):
         orders = dict(zip(multi, chosen))
-        if planar_nx(planarize_config(g, combo, orders)):
+        if is_planar(planarize_config(g, combo, orders)):
             return CrossingConfig(frozenset(combo), tuple(sorted(orders.items())))
     return None
 

@@ -168,7 +168,7 @@ def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
     removed = sorted(norm_edge(u, v) for u, v in cert.removed)
     base_graph = delete_edges(g, removed)
     require_connected(base_graph)
-    (base_emb,) = embedding_of(base_graph, cert.embedding)
+    base_emb = embedding_of(base_graph, cert.embedding)
     emb = base_emb
     routes: List[EdgeRoute] = []
     first_dummy = max(g.vertices) + 1

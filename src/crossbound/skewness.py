@@ -25,7 +25,7 @@ from typing import FrozenSet, Iterable, List, Optional
 
 import networkx as nx
 
-from .embedding import Embeddings, embed_components, is_planar, planar_nx, witness_nx
+from .embedding import RotationEmbedding, embed_components, is_planar, planar_nx, witness_nx
 from .errors import CrossboundError
 from .graph import Edge, Graph, components, delete_edges, girth
 
@@ -35,10 +35,10 @@ class SkewnessCertificate:
     """A removal set witnessing an upper bound on skewness.
 
     ``exact`` is True only when the search proved no smaller set works.
-    ``embedding`` is the Euler-checked embedding of every component of
-    g - removed (see embedding.embed_components) that proved the set
-    planarizing; it is None on a certificate built by hand. Consumers hand
-    it to embedding.embedding_of with g - removed (light_cycle_general and
+    ``embedding`` is the Euler-checked embedding of g - removed (see
+    embedding.embed_components) that proved the set planarizing; it is
+    None on a certificate built by hand. Consumers hand it to
+    embedding.embedding_of with g - removed (light_cycle_general and
     build_drawing do), which checks a stored one against that graph and
     builds one for a hand-built certificate.
     """
@@ -46,7 +46,7 @@ class SkewnessCertificate:
     value: int
     removed: FrozenSet[Edge]
     exact: bool
-    embedding: Optional[Embeddings] = field(default=None, compare=False, repr=False)
+    embedding: Optional[RotationEmbedding] = field(default=None, compare=False, repr=False)
 
     def verify(self, g: Graph) -> bool:
         return len(self.removed) == self.value and is_planar(delete_edges(g, self.removed))

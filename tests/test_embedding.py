@@ -22,7 +22,7 @@ from crossbound.embedding import (
 from crossbound import embedding
 from crossbound.errors import CrossboundError, GraphFormatError, NonPlanarError
 from crossbound.generators import planar_plus, random_maximal_planar, random_planar_min_degree3
-from crossbound.graph import Graph, min_degree
+from crossbound.graph import Graph, components, min_degree
 
 from oracles import chord_by_chord_triangulate, independent_is_planar
 
@@ -73,8 +73,9 @@ def test_embed_nonplanar_has_witness(k5):
 
 
 def test_embed_components_is_embed_per_component(k4, petersen):
-    # one LR test of the whole graph gives each component the faces a test
-    # of that component alone gives; isolated vertices get no embedding
+    # one LR test of the whole graph gives one embedding whose faces are
+    # those a test of each component alone gives, component by component;
+    # isolated vertices have none
     rng = random.Random(5)
     for _ in range(20):
         parts = [random_planar_min_degree3(rng.randint(4, 12), rng) for _ in range(3)]
@@ -83,11 +84,10 @@ def test_embed_components_is_embed_per_component(k4, petersen):
             edges += [(u + shift, v + shift) for u, v in p.edges()]
             shift += p.n + 1  # leaves an isolated vertex between parts
         g = Graph(range(shift), edges)
-        embs = embed_components(g)
-        assert len(embs) == 3 and embedding_of(g, embs) is embs
-        for emb in embs:
-            assert emb.faces == embed(emb.graph).faces
-    assert embed_components(Graph(range(3))) == ()
+        emb = embed_components(g)
+        assert emb.graph is g and embedding_of(g, emb) is emb
+        assert emb.faces == tuple(f for c in components(g) if c.m for f in embed(c).faces)
+    assert embed_components(Graph(range(3))).faces == ()
     two = Graph(range(14), list(k4.edges()) + [(u + 4, v + 4) for u, v in petersen.edges()])
     assert embed_components(two) is None
     with pytest.raises(NonPlanarError) as exc:
@@ -95,6 +95,33 @@ def test_embed_components_is_embed_per_component(k4, petersen):
     assert exc.value.witness <= set(two.edges())
     with pytest.raises(CrossboundError, match="not one of this graph"):
         embedding_of(petersen, embed_components(k4))
+
+
+def test_planar_disconnected_rotation_is_accepted(k4, c4):
+    # each component is plane, so the Euler sum is 2 per component with an
+    # edge and 1 per isolated vertex; the components interleave in vertex
+    # order (vertex 0 is on 3 of the K4's 4 faces, vertex 1 on both of the
+    # C4's), and the faces still come component by component
+    even_k4 = Graph([0, 2, 4, 6], [(2 * u, 2 * v) for u, v in k4.edges()])
+    odd_c4 = Graph([1, 3, 5, 7], [(2 * u + 1, 2 * v + 1) for u, v in c4.edges()])
+    g = Graph(range(10), even_k4.edges() + odd_c4.edges())
+    emb = RotationEmbedding(g, {**embed(even_k4).rotation, **embed(odd_c4).rotation})
+    assert g.n - g.m + len(emb.faces) == 2 + 2 + 2 * 1  # vertices 8 and 9 are isolated
+    assert emb.faces == embed(even_k4).faces + embed(odd_c4).faces
+    assert {emb.face_of(1, 3), emb.face_of(3, 1)} == {4, 5}
+
+
+def test_euler_is_checked_per_component():
+    # a toroidal K5 rotation (5 - 10 + 5 = 0) beside a plane K4
+    # (4 - 6 + 4 = 2) sums to 2, but each component must meet 2 itself
+    torus = {0: (1, 2, 3, 4), 1: (0, 2, 3, 4), 2: (0, 1, 4, 3), 3: (0, 2, 1, 4), 4: (0, 3, 1, 2)}
+    k5 = Graph(range(5), [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    with pytest.raises(NonPlanarError):
+        RotationEmbedding(k5, torus)
+    k4 = [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+    rot = {**torus, **embed(Graph(range(5, 9), k4)).rotation}
+    with pytest.raises(NonPlanarError, match="!= 4"):
+        RotationEmbedding(Graph(range(9), list(k5.edges()) + k4), rot)
 
 
 def test_kuratowski_witness_is_nonplanar_subgraph(petersen):
@@ -163,9 +190,9 @@ def test_rotation_must_permute_each_neighborhood(c4):
     bad = {0: (2, 3), 2: (0, 1), 1: (2, 3), 3: (1, 0)}
     with pytest.raises(GraphFormatError):
         RotationEmbedding(c4, bad)
-    # two isolated vertices pass Euler (2-0+0) with no face at all
-    with pytest.raises(GraphFormatError):
-        RotationEmbedding(Graph(range(2)), {0: (), 1: ()})
+    # two isolated vertices are the edgeless graph's embedding, with no
+    # face: each is its own component, with V-E+F = 1
+    assert RotationEmbedding(Graph(range(2)), {0: (), 1: ()}).faces == ()
 
 
 def test_dual_k4(k4):
@@ -220,6 +247,13 @@ def test_triangulate_is_refinement():
         assert all(f.length == 3 for f in tri.faces)
         for v in g.vertices:
             assert set(emb.rotation[v]) <= set(tri.rotation[v])
+
+
+def test_triangulate_rejects_a_disconnected_embedding(c4):
+    # each component alone would be triangulated, short of 3|V| - 6 edges
+    two = Graph(range(8), list(c4.edges()) + [(u + 4, v + 4) for u, v in c4.edges()])
+    with pytest.raises(GraphFormatError, match="connected"):
+        triangulate(embed_components(two))
 
 
 def test_triangulate_random_trees_and_sparse():
@@ -360,8 +394,7 @@ def test_embed_components_rotation_is_networkx():
         g = Graph(g.vertices, rng.sample(g.edges(), rng.randint(g.m // 2, g.m)))
         data = nx.check_planarity(g.to_networkx())[1].get_data()
         assert is_planar(g)
-        for emb in embed_components(g):
-            assert emb.rotation == {v: tuple(data[v]) for v in emb.graph.vertices}
+        assert embed_components(g).rotation == {v: tuple(data[v]) for v in g.vertices}
 
 
 @pytest.mark.parametrize("gn", [
@@ -372,6 +405,6 @@ def test_lr_kernel_is_iterative(gn):
     # at MAX_GRAPH_SIZE cannot raise RecursionError
     g = Graph.from_networkx(gn)
     assert planar_nx(gn) and is_planar(g)
-    (emb,) = embed_components(g)
+    emb = embed_components(g)
     data = nx.check_planarity(g.to_networkx())[1].get_data()
     assert emb.rotation == {v: tuple(data[v]) for v in g.vertices}

@@ -4,7 +4,7 @@ import random
 import networkx as nx
 import pytest
 
-from crossbound.embedding import planar_nx
+from crossbound.embedding import is_planar, planar_nx
 from crossbound.errors import BudgetExceededError, CrossboundError
 from crossbound.generators import complete, complete_bipartite, named, planar_plus
 from crossbound.graph import Graph, delete_edge
@@ -32,7 +32,7 @@ def test_ground_truths(k4, k5, k6, k33, petersen):
 
 def test_k44(monkeypatch):
     calls = []
-    monkeypatch.setattr(oracle, "planar_nx", lambda gn: calls.append(gn) or planar_nx(gn))
+    monkeypatch.setattr(oracle, "is_planar", lambda h: calls.append(h) or is_planar(h))
     assert crossing_number(complete_bipartite(4, 4)) == 4
     # 3795 before the counting rules: each vertex of K4,4 - v (girth 4,
     # 12 edges on 7 vertices) forces 2 crossings, so at level 4 a vertex
@@ -71,10 +71,10 @@ def test_witness_is_sound(k6, petersen):
         ok, wit = cr_at_most(g, expect)
         assert ok and wit.k == expect
         planarized = planarize_config(g, sorted(wit.pairs), dict(wit.orders))
-        assert planar_nx(planarized)
+        assert is_planar(planarized)
         # a crossing adds one vertex and splits two edges into four
-        assert planarized.number_of_nodes() == g.n + expect
-        assert planarized.number_of_edges() == g.m + 2 * expect
+        assert planarized.n == g.n + expect
+        assert planarized.m == g.m + 2 * expect
 
 
 def test_witness_pairs_are_independent(k5):
@@ -87,7 +87,7 @@ def test_witness_pairs_are_independent(k5):
 def test_planarize_config_chains_share_dummies(k5):
     pairs = [(((0, 1)), ((2, 3)))]
     h = planarize_config(k5, pairs, {})
-    assert h.number_of_nodes() == 6 and h.number_of_edges() == 12
+    assert h.n == 6 and h.m == 12
     d = 5  # the single dummy id
     assert h.degree(d) == 4
     assert not h.has_edge(0, 1) and not h.has_edge(2, 3)
@@ -139,7 +139,7 @@ def test_reversed_crossing_order_is_a_different_drawing(k6):
     on_13 = ((2, 4), (2, 5))
     for order, planar in ((((1, 3), (3, 4)), True), (((3, 4), (1, 3)), False)):
         h = planarize_config(k6, pairs, {(2, 5): order, (1, 3): on_13})
-        assert planar_nx(h) == planar
+        assert is_planar(h) == planar
 
 
 @pytest.mark.parametrize(
@@ -159,11 +159,11 @@ def test_combo_witness_matches_all_orders(g, stride):
 def test_levels_below_the_lower_bound_are_skipped(monkeypatch, k6):
     calls = []
 
-    def counted(gn):
-        calls.append(gn)
-        return planar_nx(gn)
+    def counted(h):
+        calls.append(h)
+        return is_planar(h)
 
-    monkeypatch.setattr(oracle, "planar_nx", counted)
+    monkeypatch.setattr(oracle, "is_planar", counted)
     assert cr_at_most(k6, 2) == (False, None)  # skewness_lower_bound(K6) = 3
     with pytest.raises(BudgetExceededError) as exc:
         crossing_number(complete_bipartite(3, 5), max_k=2)  # bound 15 - 12 = 3
@@ -218,7 +218,7 @@ def test_symmetry_rule_prunes_two_disjoint_k5s(monkeypatch, cap, tests):
     if cap is not None:
         monkeypatch.setattr(graph, "MAX_AUTOMORPHISMS", cap)
     calls = []
-    monkeypatch.setattr(oracle, "planar_nx", lambda gn: calls.append(gn) or planar_nx(gn))
+    monkeypatch.setattr(oracle, "is_planar", lambda h: calls.append(h) or is_planar(h))
     g = Graph.from_networkx(nx.disjoint_union(nx.complete_graph(5), nx.complete_graph(5)))
     assert cr_at_most(g, 1) == (False, None)
     assert len(calls) == tests
@@ -235,7 +235,7 @@ def test_level_walk_lists_only_maps_that_fix_its_prefix(monkeypatch, make, tests
     monkeypatch.setattr(oracle, "automorphisms", lambda h, fixing: listed.append(
         len(fixing)) or search(h, fixing))
     calls = []
-    monkeypatch.setattr(oracle, "planar_nx", lambda gn: calls.append(gn) or planar_nx(gn))
+    monkeypatch.setattr(oracle, "is_planar", lambda h: calls.append(h) or is_planar(h))
     crossing_number(make())
     assert listed and 0 not in listed
     assert len(calls) == tests

@@ -65,6 +65,21 @@ def test_lr_kernel_has_three_callers():
     assert _callers(embedding, "lr_rotation") == ["embed_components"]
 
 
+def test_embeddings_have_one_format():
+    # one RotationEmbedding holds every component: no per-component tuple,
+    # and a given embedding is checked by comparing graphs
+    found = [path.name for path in SOURCES if "Embeddings" in path.read_text()]
+    assert SOURCES and not found, found
+    embedding = SOURCES[0].parent / "embedding.py"
+    assert "embedding_of" not in _callers(embedding, "components")
+
+
+def test_oracle_imports_no_networkx():
+    # the oracle's planarizations are Graphs, tested by embedding.is_planar
+    imported = _imported(SOURCES[0].parent / "oracle.py")
+    assert not any(name.split(".")[0] in ("networkx", "nx") for name in imported), imported
+
+
 def test_no_rotation_is_read_from_networkx():
     # every rotation system comes from the LR kernel, none from networkx
     found = [path.name for path in SOURCES if "get_data(" in path.read_text()]
