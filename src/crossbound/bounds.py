@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Union
 
-from .errors import BudgetExceededError, CrossboundError, NotCriticalError
+from .errors import CrossboundError, NotCriticalError
 from .graph import Graph, automorphisms, component_roots, delete_edge, min_degree, norm_edge
 from .lightcycle import CycleWitness, light_cycle_general
 from .oracle import cr_at_most, crossing_witnesses
@@ -143,10 +143,8 @@ def is_k_crossing_critical(
 ) -> bool:
     """cr(g) >= k and cr(g minus e) <= k - 1 for every edge e.
 
-    g is asked at level min(k - 1, max_k): a witness there shows
-    cr(g) <= k - 1, so g is not critical whatever k is. Without one, a
-    k - 1 above max_k leaves cr(g) >= k undecided, and the budget error
-    carries the established cr(g) > max_k.
+    cr_at_most decides each, one witness per component with an edge, under
+    one budget rule; a cr > max_k it establishes for g - e holds for g too.
 
     g - e is asked only for the least edge e of each edge orbit, closed
     by graph.component_roots over the pairs (f, s(f)) for each map s that
@@ -156,10 +154,8 @@ def is_k_crossing_critical(
     """
     if k < 1:
         raise CrossboundError("k must be >= 1")
-    if cr_at_most(g, min(k - 1, max_k), max_k=max_k, max_edges=max_edges)[0]:
+    if cr_at_most(g, k - 1, max_k=max_k, max_edges=max_edges)[0]:
         return False
-    if k - 1 > max_k:
-        raise BudgetExceededError(f"k={k - 1} above budget {max_k}", established=f"cr > {max_k}")
     edges = g.edges()
     least = component_roots(
         edges, ((e, norm_edge(s[e[0]], s[e[1]])) for s in automorphisms(g) for e in edges))
@@ -194,10 +190,10 @@ def certify_critical_bounds(
     """Evaluate all bounds for a k-crossing-critical graph and record, per
     bound, whether the exact crossing number respects it.
 
-    cr sums oracle.crossing_witnesses, one per component. The lesser edge
-    of each of their crossing pairs is the skewness certificate when it
-    meets the lower bound (skewness.certificate_at_lower_bound); only
-    otherwise does skewness_exact search.
+    cr sums oracle.crossing_witnesses, one per component with an edge; the
+    lesser edge of each of their crossing pairs is the skewness certificate
+    when it meets the lower bound (skewness.certificate_at_lower_bound);
+    only otherwise does skewness_exact search.
 
     Raises NotCriticalError if g is not k-crossing-critical."""
     if not is_k_crossing_critical(g, k, max_k, max_edges):

@@ -55,7 +55,7 @@ class FaceRecord:
 class RotationEmbedding:
     """A combinatorial planar embedding with derived, validated face list."""
 
-    __slots__ = ("graph", "rotation", "faces", "_face_of")
+    __slots__ = ("graph", "rotation", "faces", "_face_of", "component_count")
 
     def __init__(self, graph: Graph, rotation: Dict[int, Tuple[int, ...]]):
         self.graph = graph
@@ -65,12 +65,12 @@ class RotationEmbedding:
                 raise GraphFormatError(
                     f"rotation at vertex {v} is not a permutation of its neighbors")
         roots = component_roots(graph.vertices, graph.edges())
-        parts = len(set(roots.values()))
-        self.faces, self._face_of = self._trace_faces(roots if parts > 1 else None)
+        self.component_count = len(set(roots.values()))
+        self.faces, self._face_of = self._trace_faces(roots if self.component_count > 1 else None)
         # a connected rotation system of genus g has V-E+F = 2 - 2g <= 2, and
         # an isolated vertex 1, so the sum meets 2 per component with an edge
         # and 1 per isolated vertex exactly when every component is plane
-        euler = 2 * parts - sum(1 for nbrs in self.rotation.values() if not nbrs)
+        euler = 2 * self.component_count - sum(1 for nbrs in self.rotation.values() if not nbrs)
         if graph.n - graph.m + len(self.faces) != euler:
             raise NonPlanarError(
                 f"rotation system is not planar: V-E+F = "
@@ -273,7 +273,8 @@ def triangulate(emb: RotationEmbedding) -> Tuple[RotationEmbedding, FrozenSet[Ed
     from a heap of their walks; a chord changes only the face it splits,
     and the embedding is built and validated once, at the end.
     """
-    require_connected(emb.graph)
+    if emb.graph.n < 2 or emb.component_count != 1:  # no second union-find
+        require_connected(emb.graph)
     if emb.graph.n < 3:
         raise GraphFormatError("triangulation needs at least 3 vertices")
     rotation = {v: list(nbrs) for v, nbrs in emb.rotation.items()}

@@ -215,27 +215,43 @@ def _level_witness(g: Graph, k: int) -> Optional[CrossingConfig]:
     return walk((), set())
 
 
-def _fewest_crossings(g: Graph, top: int, max_edges: int) -> Optional[CrossingConfig]:
-    """The level loop: a planarizing configuration of g with the fewest
-    crossings, searched over levels skewness_lower_bound(g)..top; None if
-    there is none.
+def _fewest_crossings(g: Graph, k: int, max_k: int,
+                      max_edges: int) -> Optional[List[CrossingConfig]]:
+    """The level loop, run on each connected component of g with an edge:
+    each one's planarizing configuration with the fewest crossings, in
+    components order, over levels skewness_lower_bound(comp)..min(k, max_k);
+    None if one has none and k <= max_k, so cr(g) > k.
 
-    No lower level can planarize. Deleting one edge per crossing of a
-    drawing leaves a planar graph, so cr(g) >= sk(g), and
-    skewness_lower_bound(g) <= sk(g).
+    No lower level can planarize: deleting one edge per crossing of a
+    drawing leaves a planar graph, so cr >= sk >= skewness_lower_bound.
+    cr of a disjoint union is the sum of its components' cr: a drawing
+    restricted to one component draws that component, and components drawn
+    apart do not cross. So a planarizing configuration with the fewest
+    crossings has no pair across two components, and cr(g) <= k exactly
+    when the components' minima sum to at most k. An edgeless one has cr 0.
+
+    Raises BudgetExceededError for a component above max_edges edges, or
+    one with no witness within max_k < k (undecided, but cr(g) > max_k);
+    CrossboundError, before any answer, if a budget is negative.
     """
-    if g.m > max_edges:
-        raise BudgetExceededError(f"|E|={g.m} above budget {max_edges}")
-    for level in range(skewness_lower_bound(g), top + 1):
-        wit = _level_witness(g, level)
-        if wit is not None:
-            return wit
-    return None
-
-
-def _check_budgets(max_k: int, max_edges: int):
     if max_k < 0 or max_edges < 0:
         raise CrossboundError(f"budgets must be >= 0: max_k={max_k}, max_edges={max_edges}")
+    if k < 0:
+        return None
+    witnesses = []
+    for comp in components(g):
+        if not comp.m:
+            continue
+        if comp.m > max_edges:
+            raise BudgetExceededError(f"|E|={comp.m} above budget {max_edges}")
+        levels = range(skewness_lower_bound(comp), min(k, max_k) + 1)
+        wit = next(filter(None, (_level_witness(comp, level) for level in levels)), None)
+        if wit is None and k > max_k:
+            raise BudgetExceededError(f"k={k} above budget {max_k}", established=f"cr > {max_k}")
+        if wit is None:
+            return None
+        witnesses.append(wit)
+    return witnesses
 
 
 def cr_at_most(
@@ -244,19 +260,14 @@ def cr_at_most(
     max_k: int = DEFAULT_MAX_K,
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> Tuple[bool, Optional[CrossingConfig]]:
-    """Decide cr(g) <= k by exhausting configurations of up to k crossings.
-
-    Returns (True, witness) or (False, None). Raises BudgetExceededError
-    when k or the edge count is beyond its budget (CrossboundError if a
-    budget is negative).
+    """Decide cr(g) <= k by _fewest_crossings, under its budget rule and
+    errors: (False, None), or (True, its witnesses joined into one).
     """
-    _check_budgets(max_k, max_edges)
-    if k < 0:
+    witnesses = _fewest_crossings(g, k, max_k, max_edges)
+    if witnesses is None or sum(wit.k for wit in witnesses) > k:
         return False, None
-    if k > max_k:
-        raise BudgetExceededError(f"k={k} above budget {max_k}")
-    wit = _fewest_crossings(g, k, max_edges)
-    return wit is not None, wit
+    return True, CrossingConfig(frozenset().union(*(wit.pairs for wit in witnesses)),
+                                tuple(sorted(o for wit in witnesses for o in wit.orders)))
 
 
 def crossing_witnesses(
@@ -265,22 +276,16 @@ def crossing_witnesses(
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> List[CrossingConfig]:
     """A planarizing configuration with the fewest crossings for each
-    connected component of g, in components order: its k is that
-    component's exact cr.
+    connected component of g with an edge, in components order: its k is
+    that component's exact cr.
 
     Raises BudgetExceededError carrying the established fact cr(g) > max_k
     when some component's search is exhausted without a witness
     (CrossboundError if a budget is negative).
     """
-    _check_budgets(max_k, max_edges)
-    witnesses = []
-    for comp in components(g):
-        wit = _fewest_crossings(comp, max_k, max_edges)
-        if wit is None:
-            raise BudgetExceededError(
-                "cr exceeds budget on a component", established=f"cr > {max_k}"
-            )
-        witnesses.append(wit)
+    witnesses = _fewest_crossings(g, max_k, max_k, max_edges)
+    if witnesses is None:
+        raise BudgetExceededError("cr exceeds budget on a component", established=f"cr > {max_k}")
     return witnesses
 
 

@@ -233,6 +233,19 @@ def test_certify_k6(k6):
     assert all(v == "true" for v in rep.satisfied.values())
 
 
+def test_certify_two_disjoint_k6():
+    # a disjoint union of critical graphs is critical: 2K6 is 6-critical
+    # with minimum degree 5, each K6 within the per-component edge budget
+    k6 = complete(6).edges()
+    rep = certify_critical_bounds(Graph(range(12), [*k6, *((u + 6, v + 6) for u, v in k6)]), 6)
+    assert (rep.cr, rep.delta) == (6, 5)
+    assert rep.satisfied == {
+        "skewness_bound": "true",
+        "cycle_bound": "true",
+        "degree_bound": "true",
+    }
+
+
 def _asked_edges(monkeypatch, g, k):
     """The verdict of is_k_crossing_critical(g, k), and the edges e whose
     g - e it asked cr_at_most about."""

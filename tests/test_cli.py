@@ -128,6 +128,19 @@ def test_critical_above_the_k_budget_reports_what_it_established(runner):
     assert json.loads(res.stderr) == {"error": "k=3 above budget 2 (cr > 2)"}
 
 
+def test_critical_edge_budget_is_per_component(runner, tmp_path):
+    # 2K5 has 20 edges, each K5 10: the K5s are searched apart, each
+    # within --max-edges 10, and their crossing numbers sum to 2
+    path = tmp_path / "2k5.txt"
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    path.write_text("".join(f"{u + s} {v + s}\n" for s in (0, 5) for u, v in k5))
+    res = runner.invoke(main, ["critical", str(path), "--format", "edgelist", "--k", "2",
+                               "--max-edges", "10"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["critical"] is True and doc["cr"] == 2
+
+
 def test_analyze_k6(runner):
     res = runner.invoke(main, ["analyze", "complete:6"])
     assert res.exit_code == 0

@@ -96,8 +96,12 @@ def test_planarize_config_chains_share_dummies(k5):
 
 
 def test_budget_k(k6):
-    with pytest.raises(BudgetExceededError):
-        cr_at_most(k6, 5)  # default max_k is 4
+    # a k above max_k (default 4) is decided when the search within it is
+    ok, wit = cr_at_most(k6, 5)
+    assert ok and wit.k == 3
+    with pytest.raises(BudgetExceededError) as exc:
+        cr_at_most(complete_bipartite(3, 5), 5, max_k=3)  # cr(K3,5) = 4
+    assert exc.value.established == "cr > 3"
     with pytest.raises(BudgetExceededError) as exc:
         crossing_number(complete_bipartite(3, 5), max_k=2)  # cr(K3,5) = 4
     assert exc.value.established == "cr > 2"
@@ -113,6 +117,73 @@ def test_disconnected_sum(k5, k33):
         nx.disjoint_union(nx.complete_graph(5), nx.complete_bipartite_graph(3, 3))
     )
     assert crossing_number(g) == 2
+
+
+def test_components_are_searched_apart(monkeypatch):
+    # cr(2K3,4) = 4: each K3,4 has its witness at level 2, so cr <= 3 fails
+    # once the two sum to 4; searched as one graph this took 636 tests
+    calls = []
+    monkeypatch.setattr(oracle, "is_planar", lambda h: calls.append(h) or is_planar(h))
+    k34 = nx.complete_bipartite_graph(3, 4)
+    g = Graph.from_networkx(nx.disjoint_union(k34, k34))
+    assert cr_at_most(g, 3, max_edges=24) == (False, None)
+    assert len(calls) <= 2
+
+
+def test_union_witness_is_the_whole_graph_witness():
+    # each K3,5 witness crosses two of its edges twice; on interleaved ids
+    # the first component's orders do not all sort before the second's, and
+    # the joined witness is the one the whole graph's pairs give
+    k35 = complete_bipartite(3, 5).edges()
+    g = Graph(range(16), [(2 * u + i, 2 * v + i) for i in (0, 1) for u, v in k35])
+    ok, wit = cr_at_most(g, 8, max_edges=15)
+    assert ok and wit.k == 8
+    assert {e[0] % 2 for e, _ in wit.orders} == {0, 1}
+    assert _combo_witness(g, sorted(wit.pairs)) == wit
+
+
+def _disjoint_unions():
+    """40 seeded graphs of 2-3 connected components on shuffled ids, at
+    most 20 edges in all, each with the flat loop's answer over the whole
+    graph's pairs at every level up to its first witness."""
+    rng = random.Random(54)
+    menu = [lambda: complete(5), lambda: complete_bipartite(3, 3), lambda: complete(2)]
+    cases = []
+    while len(cases) < 40:
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            pick = rng.randrange(len(menu) + 1)
+            if pick < len(menu):
+                parts.append(menu[pick]().to_networkx())
+            else:  # a random tree on 3-6 vertices plus up to three chords
+                n = rng.randint(3, 6)
+                h = nx.random_labeled_tree(n, seed=rng.randrange(10**9))
+                chords = list(nx.non_edges(h))
+                h.add_edges_from(rng.sample(chords, min(3, len(chords))))
+                parts.append(h)
+        h = nx.disjoint_union_all(parts)
+        if h.number_of_edges() > 20:
+            continue
+        ids = list(h)
+        rng.shuffle(ids)
+        g = Graph.from_networkx(nx.relabel_nodes(h, dict(zip(h, ids))))
+        pool = _independent_pairs(g)
+        expected = [None]
+        while expected[-1] is None:
+            expected.append(flat_level_witness(g, pool, len(expected) - 1))
+        cases.append((g, expected[1:]))
+    return cases
+
+
+def test_components_match_the_whole_graph_flat_loop():
+    # the fewest-crossing configuration of a disjoint union pairs no edges
+    # of two components, so the per-component search finds the whole
+    # graph's first witness, pairs and orders, and None below it
+    cases = _disjoint_unions()
+    assert sum(len(expected) > 2 for _, expected in cases) >= 5  # cr >= 2
+    for g, expected in cases:
+        for level, wit in enumerate(expected):
+            assert cr_at_most(g, level) == (wit is not None, wit), (g.edges(), level)
 
 
 def test_skewness_never_below_crossing_gap():
@@ -211,7 +282,7 @@ def test_pruned_levels_match_the_flat_loop(monkeypatch, level_cases, cap):
         assert cap is None or len(graph.automorphisms(g)) <= cap
 
 
-@pytest.mark.parametrize("cap, tests", [(None, 3), (1, 131)], ids=["all", "identity"])
+@pytest.mark.parametrize("cap, tests", [(None, 2), (1, 130)], ids=["all", "identity"])
 def test_symmetry_rule_prunes_two_disjoint_k5s(monkeypatch, cap, tests):
     # witness equality cannot see a walk that prunes less: pin the work.
     # Level 1 fails (cr = 2); with the identity alone nothing is mapped
@@ -220,8 +291,9 @@ def test_symmetry_rule_prunes_two_disjoint_k5s(monkeypatch, cap, tests):
     calls = []
     monkeypatch.setattr(oracle, "is_planar", lambda h: calls.append(h) or is_planar(h))
     g = Graph.from_networkx(nx.disjoint_union(nx.complete_graph(5), nx.complete_graph(5)))
-    assert cr_at_most(g, 1) == (False, None)
+    assert _level_witness(g, 1) is None
     assert len(calls) == tests
+    assert cr_at_most(g, 1) == (False, None)  # each K5 on its own: cr 1 + 1
 
 
 @pytest.mark.parametrize("make, tests", [(lambda: complete(6), 4), (lambda: named("petersen"), 2)],

@@ -160,6 +160,17 @@ def test_bounds_builds_no_planarization():
         "cr_at_most", "crossing_witnesses", "DEFAULT_MAX_K", "DEFAULT_MAX_EDGES"}, from_oracle
 
 
+def test_oracle_has_one_search_shape():
+    # every cr question is searched component by component, under one
+    # budget rule: _fewest_crossings alone splits g and walks the levels,
+    # and bounds leaves every budget error to the oracle
+    oracle = SOURCES[0].parent / "oracle.py"
+    for name in ("components", "_level_witness"):
+        assert _callers(oracle, name) == ["_fewest_crossings"], name
+    assert _callers(oracle, "_fewest_crossings") == ["cr_at_most", "crossing_witnesses"]
+    assert "BudgetExceededError" not in (SOURCES[0].parent / "bounds.py").read_text()
+
+
 def test_skewness_certificates_are_checked_in_one_module():
     # every skewness certificate with a removal set is Euler-checked by
     # skewness._certified, and only skewness.py calls it
