@@ -27,7 +27,7 @@ import networkx as nx
 
 from ._lr import lr_rotation, lr_test
 from .errors import CrossboundError, GraphFormatError, NonPlanarError
-from .graph import Edge, Graph, component_roots, components, norm_edge
+from .graph import Edge, Graph, component_roots, norm_edge
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def require_connected(g: Graph) -> None:
     a single RotationEmbedding needs."""
     if g.n < 2:
         raise GraphFormatError("embedding needs at least 2 vertices")
-    if len(components(g)) != 1:
+    if len(set(component_roots(g.vertices, g.edges()).values())) != 1:
         raise GraphFormatError("embedding needs a connected graph")
 
 

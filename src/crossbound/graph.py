@@ -2,9 +2,9 @@
 
 Vertices are non-negative integers with stable ids: deletion preserves ids,
 contraction keeps the lower id of each merged pair. All operations are pure
-functions returning fresh Graph values, so graphs are safe to share across
-workers. A graph keeps no derived state but its edge tuple and hash; its
-symmetries are searched when asked for, as a generating set.
+functions returning fresh Graph values. A graph keeps no derived state but
+its edge tuple and hash; its symmetries are searched when asked for, as a
+generating set.
 """
 
 from __future__ import annotations
@@ -321,17 +321,16 @@ def component_roots(vertices: Iterable[int], edges: Iterable[Edge]) -> Dict[int,
 
 
 def components(g: Graph) -> List[Graph]:
-    """Connected components of g as graphs, ordered by lowest vertex id;
-    a connected g is its own one component."""
+    """The connected components of g with an edge, as graphs ordered by
+    lowest vertex id: a connected g with an edge is its own one component,
+    and an edgeless g has none."""
     roots = component_roots(g.vertices, g.edges())
-    if len(set(roots.values())) == 1:
+    if g.m and len(set(roots.values())) == 1:
         return [g]
-    parts: Dict[int, Tuple[list, list]] = {}
-    for v, r in roots.items():  # ascending ids: each root is met first
-        parts.setdefault(r, ([], []))[0].append(v)
-    for e in g.edges():
-        parts[roots[e[0]]][1].append(e)
-    return [Graph(vs, es) for vs, es in parts.values()]
+    parts: Dict[int, list] = {}
+    for e in g.edges():  # lexicographic: each component's first edge is at its root
+        parts.setdefault(roots[e[0]], []).append(e)
+    return [Graph((), es) for es in parts.values()]
 
 
 # -- text formats ----------------------------------------------------------

@@ -217,9 +217,9 @@ def _level_witness(g: Graph, k: int) -> Optional[CrossingConfig]:
 
 def _fewest_crossings(g: Graph, k: int, max_k: int,
                       max_edges: int) -> Optional[List[CrossingConfig]]:
-    """The level loop, run on each connected component of g with an edge:
-    each one's planarizing configuration with the fewest crossings, in
-    components order, over levels skewness_lower_bound(comp)..min(k, max_k);
+    """The level loop, run on each connected component of g with an edge,
+    as components(g) yields them: each one's fewest-crossing planarizing
+    configuration, over levels skewness_lower_bound(comp)..min(k, max_k);
     None if one has none and k <= max_k, so cr(g) > k.
 
     No lower level can planarize: deleting one edge per crossing of a
@@ -228,7 +228,7 @@ def _fewest_crossings(g: Graph, k: int, max_k: int,
     restricted to one component draws that component, and components drawn
     apart do not cross. So a planarizing configuration with the fewest
     crossings has no pair across two components, and cr(g) <= k exactly
-    when the components' minima sum to at most k. An edgeless one has cr 0.
+    when the components' minima sum to at most k; an edgeless graph has cr 0.
 
     Raises BudgetExceededError for a component above max_edges edges, or
     one with no witness within max_k < k (undecided, but cr(g) > max_k);
@@ -240,8 +240,6 @@ def _fewest_crossings(g: Graph, k: int, max_k: int,
         return None
     witnesses = []
     for comp in components(g):
-        if not comp.m:
-            continue
         if comp.m > max_edges:
             raise BudgetExceededError(f"|E|={comp.m} above budget {max_edges}")
         levels = range(skewness_lower_bound(comp), min(k, max_k) + 1)

@@ -366,6 +366,39 @@ def test_critical_reports_are_pinned():
     assert digest == "92b47d3be557d1a5c56595ef4382f9227f37aac7c925c5cd578c7b7b01daa56f"
 
 
+def _from_networkx(h):
+    return Graph.from_networkx(nx.convert_node_labels_to_integers(h))
+
+
+# name -> (graph, k, max_edges, published cr): critical graphs that are not
+# complete, complete bipartite or Petersen. cr(C3 x Cn) = n (Ringeisen &
+# Beineke 1978), and Heawood's cr is 3 (Pegg & Exoo 2009). C3 x C3 is the
+# first member with minimum degree 4 that is not K5, K4,4 or 2K5. Heawood
+# has 21 edges, one above the default budget.
+BEYOND_COMPLETE = {
+    "C3xC3 k3": (lambda: _from_networkx(nx.cartesian_product(nx.cycle_graph(3), nx.cycle_graph(3))),
+                 3, oracle.DEFAULT_MAX_EDGES, 3),
+    "heawood k3": (lambda: _from_networkx(nx.heawood_graph()), 3, 21, 3),
+}
+
+
+def test_critical_graphs_beyond_complete_ones_are_pinned():
+    # each is k-critical with its published cr and not (k+1)-critical;
+    # cr, delta, sk and its exactness, mu, the three bounds and verdicts
+    rows = []
+    for name, (make, k, max_edges, cr) in BEYOND_COMPLETE.items():
+        g = make()
+        rep = certify_critical_bounds(g, k, max_edges=max_edges)
+        assert rep.cr == cr, name
+        assert not is_k_crossing_critical(g, k + 1, max_edges=max_edges), name
+        rows.append([name, rep.cr, rep.delta, rep.sk_certificate.value, rep.sk_certificate.exact,
+                     rep.mu_witness.mu, _rat(rep.skewness_bound), _rat(rep.cycle_bound),
+                     _rat(rep.degree_bound), rep.satisfied])
+    assert [row[1:6] for row in rows] == [[3, 4, 2, True, 6], [3, 3, 3, True, 5]]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "61daf969a6ea985c08bc88ed1b36ca573d14d0aa838e4fd933f345317857416e"
+
+
 def test_critical_searches_skewness_only_above_the_lower_bound(monkeypatch):
     # the cr witnesses' lesser edges meet the skewness lower bound on every
     # entry but the subdivided K5 (lower bound 0, sk 1); on K3,5 at k = 3

@@ -86,7 +86,7 @@ def test_embed_components_is_embed_per_component(k4, petersen):
         g = Graph(range(shift), edges)
         emb = embed_components(g)
         assert emb.graph is g and embedding_of(g, emb) is emb
-        assert emb.faces == tuple(f for c in components(g) if c.m for f in embed(c).faces)
+        assert emb.faces == tuple(f for c in components(g) for f in embed(c).faces)
     assert embed_components(Graph(range(3))).faces == ()
     two = Graph(range(14), list(k4.edges()) + [(u + 4, v + 4) for u, v in petersen.edges()])
     assert embed_components(two) is None

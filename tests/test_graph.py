@@ -15,6 +15,7 @@ from crossbound.graph import (
     MAX_GRAPH_SIZE,
     Graph,
     automorphisms,
+    components,
     contract_edges,
     delete_edge,
     delete_edges,
@@ -162,6 +163,19 @@ def test_contract_matches_networkx_on_random_graphs():
         ours, _ = contract_edges(g, [e])
         theirs = nx.contracted_nodes(gn, e[0], e[1], self_loops=False)
         assert nx.is_isomorphic(ours.to_networkx(), theirs)
+
+
+def test_components_are_only_those_with_an_edge(k5):
+    # an isolated vertex changes no cr or skewness, so it is never built:
+    # K5 on the top five ids of a 2000-vertex edge list is one graph
+    text = "".join(f"{u} {v}\n" for u in range(1995, 2000) for v in range(u + 1, 2000))
+    assert components(parse_graph(text.encode(), "edgelist")) == [
+        Graph(range(1995, 2000), [(u + 1995, v + 1995) for u, v in k5.edges()])]
+    assert components(Graph(range(5))) == [] and components(Graph()) == []
+    assert components(k5) == [k5] and components(k5)[0] is k5
+    # in order of least vertex, each built from its edges alone
+    g = Graph(range(10), [(0, 9), (1, 2), (3, 4), (2, 5)])
+    assert components(g) == [Graph((), [(0, 9)]), Graph((), [(1, 2), (2, 5)]), Graph((), [(3, 4)])]
 
 
 def test_min_degree(k5, k33):

@@ -4,6 +4,7 @@ import random
 import networkx as nx
 import pytest
 
+from crossbound.bounds import is_k_crossing_critical
 from crossbound.embedding import is_planar, planar_nx
 from crossbound.errors import BudgetExceededError, CrossboundError
 from crossbound.generators import complete, complete_bipartite, named, planar_plus
@@ -16,6 +17,7 @@ from crossbound.oracle import (
     _level_witness,
     cr_at_most,
     crossing_number,
+    crossing_witnesses,
     planarize_config,
 )
 
@@ -184,6 +186,34 @@ def test_components_match_the_whole_graph_flat_loop():
     for g, expected in cases:
         for level, wit in enumerate(expected):
             assert cr_at_most(g, level) == (wit is not None, wit), (g.edges(), level)
+
+
+def test_isolated_vertices_change_no_answer():
+    # cr is a sum over the components with an edge, so the oracle answers
+    # the same, pairs and orders included, with isolated vertices or not:
+    # 10 seeded connected graphs each of cr 0, 1 and 2 (n 5-8) on shuffled
+    # sparse ids, against a copy whose isolated vertices fill the gaps
+    rng, per_cr = random.Random(27), [0, 0, 0]
+    while sum(per_cr) < 30:
+        n = rng.randint(5, 8)
+        h = nx.gnm_random_graph(n, rng.randint(17 * n // 10, min(13 * n // 5, 17)),
+                                seed=rng.randrange(10**9))
+        if not nx.is_connected(h):
+            continue
+        ids = rng.sample(range(3 * n), n)
+        g = Graph((), [(ids[u], ids[v]) for u, v in h.edges()])
+        padded = Graph(range(3 * n), g.edges())
+        answers = [cr_at_most(g, 0)]
+        while not answers[-1][0] and len(answers) < 3:
+            answers.append(cr_at_most(g, len(answers)))
+        cr = len(answers) - 1
+        if not answers[-1][0] or per_cr[cr] == 10:
+            continue
+        per_cr[cr] += 1
+        assert [cr_at_most(padded, level) for level in range(cr + 1)] == answers, g.edges()
+        assert crossing_witnesses(padded) == crossing_witnesses(g), g.edges()
+        k = max(cr, 1)  # at cr 0, g is not 1-critical either way
+        assert is_k_crossing_critical(padded, k) == is_k_crossing_critical(g, k), g.edges()
 
 
 def test_skewness_never_below_crossing_gap():

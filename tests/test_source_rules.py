@@ -66,12 +66,17 @@ def test_lr_kernel_has_three_callers():
 
 
 def test_embeddings_have_one_format():
-    # one RotationEmbedding holds every component: no per-component tuple,
-    # and a given embedding is checked by comparing graphs
+    # one RotationEmbedding holds every component: no per-component tuple
     found = [path.name for path in SOURCES if "Embeddings" in path.read_text()]
     assert SOURCES and not found, found
+
+
+def test_embedding_layer_builds_no_component_graphs():
+    # connectivity is counted off graph.component_roots, never split into
+    # graphs, and a given embedding is checked by comparing graphs
     embedding = SOURCES[0].parent / "embedding.py"
-    assert "embedding_of" not in _callers(embedding, "components")
+    assert _callers(embedding, "components") == []
+    assert "components" not in _imported(embedding)
 
 
 def test_oracle_imports_no_networkx():
