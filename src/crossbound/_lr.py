@@ -8,10 +8,12 @@ graph sees, each vertex's rotation is networkx's, read clockwise from its
 leftmost neighbor as ``PlanarEmbedding.get_data`` reads it.
 
 An adjacency maps each vertex of a simple graph, in DFS root order, to its
-neighbors in scan order. An edge is the tuple (v, w) of its orientation. A
-conflict pair is the list [left low, left high, right low, right high],
-None where an interval is empty; pairs are compared by identity, as
-networkx compares its ``ConflictPair`` objects.
+neighbors in scan order. An edge is an integer id, given in the order the
+DFS orients the edges, with tail ``src[e]`` and head ``dst[e]``; per-edge
+values are lists indexed by it. A conflict pair is the list [left low,
+left high, right low, right high], None where an interval is empty; pairs
+are compared by identity, as networkx compares its ``ConflictPair``
+objects.
 """
 
 from __future__ import annotations
@@ -21,32 +23,32 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 def lr_test(adj: Mapping[Hashable, Sequence[Hashable]]) -> Optional[tuple]:
     """The test phase: None if the graph is not planar, else the state
-    lr_rotation embeds it from (roots, parent edges, each vertex's oriented
-    out-neighbors with their nesting depths, reference edges and sides)."""
-    n = len(adj)
-    if n > 2 and sum(len(ws) for ws in adj.values()) > 2 * (3 * n - 6):
+    lr_rotation embeds it from (roots, parent edges, edge tails and heads,
+    each vertex's out-edges by head, nesting depths, references, sides)."""
+    n, m = len(adj), sum(len(ws) for ws in adj.values()) // 2
+    if n > 2 and m > 3 * n - 6:
         return None
     height: dict = {}
-    lowpt: dict = {}
-    lowpt2: dict = {}
     parent: dict = {}
     out: Dict[Hashable, dict] = {v: {} for v in adj}
+    src, dst = [], []  # each edge's tail and head
+    lowpt, lowpt2, depth = [0] * m, [0] * m, [0] * m
     roots = []
 
-    def nest(vw):
-        # nesting depth of vw, chordal if it has a second return point
-        # below v, then vw's lowpoints folded into v's parent edge
-        v = vw[0]
-        out[v][vw[1]] = 2 * lowpt[vw] + (lowpt2[vw] < height[v])
+    def nest(ei):
+        # nesting depth of ei, chordal if it has a second return point
+        # below its tail, then ei's lowpoints folded into the tail's parent edge
+        v = src[ei]
+        depth[ei] = 2 * lowpt[ei] + (lowpt2[ei] < height[v])
         e = parent.get(v)
         if e is not None:
-            if lowpt[vw] < lowpt[e]:
-                lowpt2[e] = min(lowpt[e], lowpt2[vw])
-                lowpt[e] = lowpt[vw]
-            elif lowpt[vw] > lowpt[e]:
-                lowpt2[e] = min(lowpt2[e], lowpt[vw])
+            if lowpt[ei] < lowpt[e]:
+                lowpt2[e] = min(lowpt[e], lowpt2[ei])
+                lowpt[e] = lowpt[ei]
+            elif lowpt[ei] > lowpt[e]:
+                lowpt2[e] = min(lowpt2[e], lowpt[ei])
             else:
-                lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+                lowpt2[e] = min(lowpt2[e], lowpt2[ei])
 
     for root in adj:  # orientation by DFS: lowpoints and nesting depths
         if root in height:
@@ -59,26 +61,27 @@ def lr_test(adj: Mapping[Hashable, Sequence[Hashable]]) -> Optional[tuple]:
             for w in nbrs:
                 if v in out[w]:
                     continue  # oriented from w
-                vw = (v, w)
-                out[v][w] = None
-                lowpt[vw] = lowpt2[vw] = height[v]
+                ei = out[v][w] = len(src)
+                src.append(v)
+                dst.append(w)
+                lowpt[ei] = lowpt2[ei] = height[v]
                 if w not in height:  # tree edge: nest it once w is done
-                    parent[w] = vw
+                    parent[w] = ei
                     height[w] = height[v] + 1
                     stack.append((w, iter(adj[w])))
                     break
-                lowpt[vw] = height[w]  # back edge
-                nest(vw)
+                lowpt[ei] = height[w]  # back edge
+                nest(ei)
             else:
                 stack.pop()
                 if v in parent:
                     nest(parent[v])
 
-    ordered = {v: sorted(ws, key=ws.__getitem__) for v, ws in out.items()}
-    ref: dict = {}
-    side: dict = {}
-    lowpt_edge: dict = {}
-    bottom: dict = {}
+    ordered = {v: sorted(es.values(), key=depth.__getitem__) for v, es in out.items()}
+    ref: List[Optional[int]] = [None] * m
+    side = [1] * m
+    lowpt_edge: List[Optional[int]] = [None] * m
+    bottom: List[Optional[list]] = [None] * m
     S: List[list] = []
 
     def conflicting(low, high, b):
@@ -109,7 +112,8 @@ def lr_test(adj: Mapping[Hashable, Sequence[Hashable]]) -> Optional[tuple]:
                 Q[:] = Q[2], Q[3], Q[0], Q[1]
             if conflicting(Q[2], Q[3], ei):
                 return False
-            ref[P[2]] = Q[3]
+            if P[2] is not None:  # a list takes no None; networkx's dict keeps it unread
+                ref[P[2]] = Q[3]
             if Q[2] is not None:
                 P[2] = Q[2]
             if P[0] is None and P[1] is None:
@@ -129,21 +133,21 @@ def lr_test(adj: Mapping[Hashable, Sequence[Hashable]]) -> Optional[tuple]:
         return min(lowpt[P[0]], lowpt[P[2]])
 
     def remove_back_edges(e):
-        u = e[0]
+        u = src[e]
         while S and lowest(S[-1]) == height[u]:  # drop whole pairs
             P = S.pop()
             if P[0] is not None:
                 side[P[0]] = -1
         if S:  # trim the next pair's intervals
             P = S[-1]
-            while P[1] is not None and P[1][1] == u:
-                P[1] = ref.get(P[1])
+            while P[1] is not None and dst[P[1]] == u:
+                P[1] = ref[P[1]]
             if P[1] is None and P[0] is not None:
                 ref[P[0]] = P[2]
                 side[P[0]] = -1
                 P[0] = None
-            while P[3] is not None and P[3][1] == u:
-                P[3] = ref.get(P[3])
+            while P[3] is not None and dst[P[3]] == u:
+                P[3] = ref[P[3]]
             if P[3] is None and P[2] is not None:
                 ref[P[2]] = P[0]
                 side[P[2]] = -1
@@ -152,12 +156,12 @@ def lr_test(adj: Mapping[Hashable, Sequence[Hashable]]) -> Optional[tuple]:
             hl, hr = S[-1][1], S[-1][3]
             ref[e] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
 
-    def integrate(v, w, e):
-        # ei = (v, w) with e the parent edge of v: its return edges join
+    def integrate(ei, e):
+        # ei leaves v, with e the parent edge of v: its return edges join
         # e's, or constrain those of v's earlier children
-        ei = (v, w)
+        v = src[ei]
         if lowpt[ei] < height[v]:
-            if w == ordered[v][0]:
+            if ei == ordered[v][0]:
                 lowpt_edge[e] = lowpt_edge[ei]
             elif not add_constraints(ei, e):
                 return False
@@ -166,50 +170,51 @@ def lr_test(adj: Mapping[Hashable, Sequence[Hashable]]) -> Optional[tuple]:
     for root in roots:  # testing
         stack = [(root, iter(ordered[root]))]
         while stack:
-            v, nbrs = stack[-1]
+            v, es = stack[-1]
             e = parent.get(v)
-            for w in nbrs:
-                ei = (v, w)
+            for ei in es:
+                w = dst[ei]
                 bottom[ei] = S[-1] if S else None
                 if parent.get(w) == ei:  # tree edge: integrate it once w is done
                     stack.append((w, iter(ordered[w])))
                     break
                 lowpt_edge[ei] = ei
                 S.append([None, None, ei, ei])
-                if not integrate(v, w, e):
+                if not integrate(ei, e):
                     return None
             else:
                 stack.pop()
                 if e is not None:
                     remove_back_edges(e)
-                    if not integrate(e[0], v, parent.get(e[0])):
+                    if not integrate(e, parent.get(src[e])):
                         return None
-    return roots, parent, out, ref, side
+    return roots, parent, src, dst, out, depth, ref, side
 
 
 def lr_rotation(state: tuple) -> Dict[Hashable, List[Hashable]]:
     """The embed phase: each vertex's neighbors in clockwise order from its
     leftmost one, which is first in its list."""
-    roots, parent, out, ref, side = state
-    for v, ws in out.items():  # nesting depths signed by each edge's side
-        for w in ws:
-            ws[w] *= _sign((v, w), ref, side)
-    ordered = {v: sorted(ws, key=ws.__getitem__) for v, ws in out.items()}
-    rotation = {v: list(ws) for v, ws in ordered.items()}
+    roots, parent, src, dst, out, depth, ref, side = state
+    for es in out.values():  # nesting depths signed by each edge's side
+        for ei in es.values():
+            depth[ei] *= _sign(ei, ref, side)
+    ordered = {v: sorted(es.values(), key=depth.__getitem__) for v, es in out.items()}
+    rotation = {v: [dst[ei] for ei in es] for v, es in ordered.items()}
     left: dict = {}
     right: dict = {}
     for root in roots:
         stack = [(root, iter(ordered[root]))]
         while stack:
-            v, nbrs = stack[-1]
-            for w in nbrs:
+            v, es = stack[-1]
+            for ei in es:
+                w = dst[ei]
                 r = rotation[w]
-                if parent.get(w) == (v, w):  # tree edge: v becomes w's leftmost
+                if parent.get(w) == ei:  # tree edge: v becomes w's leftmost
                     r.insert(0, v)
                     left[v] = right[v] = w
                     stack.append((w, iter(ordered[w])))
                     break
-                if side.get((v, w), 1) == 1:  # back edge, clockwise after right[w]
+                if side[ei] == 1:  # back edge, clockwise after right[w]
                     r.insert(r.index(right[w]) + 1, v)
                 else:  # counterclockwise before left[w], leftmost if left[w] was
                     r.insert(r.index(left[w]), v)
@@ -226,10 +231,10 @@ def _sign(e, ref, side) -> int:
     old_ref: dict = {}
     while stack:
         e = stack.pop()
-        if ref.get(e) is not None:
+        if ref[e] is not None:
             stack += (e, ref[e])
             old_ref[e] = ref[e]
             ref[e] = None
-        else:
-            side[e] = side.get(e, 1) * side.get(old_ref.get(e), 1)
+        elif e in old_ref:
+            side[e] *= side[old_ref[e]]
     return side[e]

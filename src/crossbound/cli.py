@@ -155,18 +155,19 @@ def analyze(input_spec, fmt, seed, out, pretty, max_k, sk_budget):
     """Full report: skewness certificate, light-cycle witness, bounds, cr."""
     g = _resolve_graph(input_spec, fmt, seed)
     cert = skewness_exact(g, budget=sk_budget)
+    delta = min_degree(g) if g.n else None
     report = {
         "meta": _meta(input_spec, g, seed, max_k=max_k, sk_budget=sk_budget),
         "n": g.n,
         "m": g.m,
-        "min_degree": min_degree(g) if g.n else None,
+        "min_degree": delta,
         "skewness": {
             "value": cert.value,
             "removed": [list(e) for e in sorted(cert.removed)],
             "exact": cert.exact,
         },
     }
-    if g.n and min_degree(g) >= 3:
+    if g.n and delta >= 3:
         wit = light_cycle_general(g, cert.removed, embedding=cert.embedding)
         report["light_cycle"] = {
             "cycle": list(wit.cycle),

@@ -81,27 +81,20 @@ class RotationEmbedding:
         """Faces in order of their least directed edge; with ``roots``, a
         disconnected graph's, component by component in components() order,
         so each component's faces are those of its own embedding."""
-        rot = self.rotation
-        pos = {
-            (v, w): i for v, nbrs in rot.items() for i, w in enumerate(nbrs)
-        }
-        seen = set()
+        adj = self.graph.adjacency()  # sorted: directed edges in least-first order
+        after = {v: dict(zip(nbrs, nbrs[1:] + nbrs[:1])) for v, nbrs in self.rotation.items()}
         faces: List[FaceRecord] = []
         face_of: Dict[Tuple[int, int], int] = {}
-        starts = sorted(pos)
-        if roots is not None:
-            starts.sort(key=lambda d: roots[d[0]])  # stable: still least first in each
-        for start in starts:
-            if start in seen:
+        tails = adj if roots is None else sorted(adj, key=roots.__getitem__)  # stable sort
+        for start in ((u, w) for u in tails for w in adj[u]):
+            if start in face_of:
                 continue
             walk = []
             u, v = start
-            while (u, v) not in seen:
-                seen.add((u, v))
+            while (u, v) not in face_of:
                 face_of[(u, v)] = len(faces)
                 walk.append(u)
-                nbrs = rot[v]
-                u, v = v, nbrs[(pos[(v, u)] + 1) % len(nbrs)]
+                u, v = v, after[v][u]
             faces.append(FaceRecord(tuple(walk), len(walk), self.graph))
         return tuple(faces), face_of
 

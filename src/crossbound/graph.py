@@ -2,9 +2,10 @@
 
 Vertices are non-negative integers with stable ids: deletion preserves ids,
 contraction keeps the lower id of each merged pair. All operations are pure
-functions returning fresh Graph values. A graph keeps no derived state but
-its edge tuple and hash; its symmetries are searched when asked for, as a
-generating set.
+functions returning Graph values; a Graph is immutable, so one that changes
+nothing may return its input. A graph keeps no derived state but its edge
+tuple and hash; its symmetries are searched when asked for, as a generating
+set.
 """
 
 from __future__ import annotations
@@ -132,12 +133,15 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
 
 
 def delete_edges(g: Graph, edges: Iterable[Edge]) -> Graph:
-    """Copy of g without ``edges``; MissingEdgeError if one is not an edge
-    of g. Every removal set is checked here, and only here."""
+    """g without ``edges``, g itself if there are none; MissingEdgeError if
+    one is not an edge of g. Every removal set is checked here, and only
+    here."""
     drop = {norm_edge(u, v) for u, v in edges}
     for e in drop:
         if not g.has_edge(*e):
             raise MissingEdgeError(f"{e} is not an edge")
+    if not drop:
+        return g
     return Graph(g.vertices, (f for f in g.edges() if f not in drop))
 
 

@@ -124,6 +124,30 @@ def test_euler_is_checked_per_component():
         RotationEmbedding(Graph(range(9), list(k5.edges()) + k4), rot)
 
 
+def test_faces_start_at_their_least_edge_component_by_component():
+    # the documented face order: each walk starts at its face's least
+    # directed edge, and faces are sorted by (component root, that edge);
+    # the unions interleave their parts' vertex ids and add isolated ones
+    rng = random.Random(28)
+    graphs = [_random_sparse_planar(rng) for _ in range(30)]
+    for _ in range(10):
+        parts = [_random_sparse_planar(rng) for _ in range(rng.randint(2, 3))]
+        k = len(parts)
+        edges = [(k * u + i, k * v + i) for i, p in enumerate(parts) for u, v in p.edges()]
+        graphs.append(Graph(range(k * 30 + rng.randint(0, 3)), edges))
+    for g in graphs:
+        emb = embed_components(g)
+        roots = {v: min(c) for c in nx.connected_components(g.to_networkx()) for v in c}
+        keys = []
+        for f in emb.faces:
+            walk = f.boundary
+            darts = [(walk[i], walk[(i + 1) % f.length]) for i in range(f.length)]
+            assert darts[0] == min(darts), walk
+            keys.append((roots[walk[0]], darts[0]))
+        assert keys == sorted(keys)
+    assert sum(embed_components(g).component_count > 1 for g in graphs) == 10
+
+
 def test_kuratowski_witness_is_nonplanar_subgraph(petersen):
     witness = kuratowski_witness(petersen)
     assert witness <= set(petersen.edges())

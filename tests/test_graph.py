@@ -129,6 +129,14 @@ def test_a_non_edge_raises_missing_edge_error(c4, call):
         call(c4, (2, 0))
 
 
+def test_deleting_no_edges_shares_the_graph(c4):
+    # a Graph is immutable, so an empty removal need not copy it; a
+    # non-edge is still checked first
+    assert delete_edges(c4, []) is c4
+    with pytest.raises(MissingEdgeError):
+        delete_edges(c4, [(0, 2)])
+
+
 def test_contract_c4_gives_c3(c4):
     h, mapping = contract_edges(c4, [(0, 1)])
     assert h.n == 3 and h.m == 3
