@@ -33,7 +33,7 @@ from .errors import BudgetExceededError, CrossboundError, NotCriticalError
 from .graph import Graph, check_graph_size, min_degree, parse_graph, serialize_graph
 from .lightcycle import light_cycle_general
 from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_K, crossing_number
-from .router import build_drawing, render
+from .router import build_drawing, drawing_dict, render
 from .skewness import skewness_exact
 from . import generators
 
@@ -204,7 +204,7 @@ def draw(input_spec, fmt, seed, out, pretty, svg_path, sk_budget):
     drawing = build_drawing(g, cert)
     payload = {
         "meta": _meta(input_spec, g, seed, sk_budget=sk_budget),
-        "drawing": json.loads(render(drawing, "json")),
+        "drawing": drawing_dict(drawing),
     }
     if svg_path:
         Path(svg_path).write_bytes(render(drawing, "svg"))

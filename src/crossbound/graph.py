@@ -3,9 +3,10 @@
 Vertices are non-negative integers with stable ids: deletion preserves ids,
 contraction keeps the lower id of each merged pair. All operations are pure
 functions returning Graph values; a Graph is immutable, so one that changes
-nothing may return its input. A graph keeps no derived state but its edge
-tuple and hash; its symmetries are searched when asked for, as a generating
-set.
+nothing may return its input, and a graph derived by deleting edges shares
+every neighbour tuple it does not change with its source. A graph keeps no
+derived state but its edge tuple and hash; its symmetries are searched when
+asked for, as a generating set.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ class Graph:
         }
         self._hash = None
         self._edges: Optional[Tuple[Edge, ...]] = None
+
+    @classmethod
+    def _of(cls, adj: Dict[int, Tuple[int, ...]]) -> "Graph":
+        """The graph of a sorted, symmetric adjacency, taken as it is."""
+        g = cls.__new__(cls)
+        g._adj, g._hash, g._edges = adj, None, None
+        return g
 
     # -- basic queries ----------------------------------------------------
 
@@ -135,14 +143,17 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
 def delete_edges(g: Graph, edges: Iterable[Edge]) -> Graph:
     """g without ``edges``, g itself if there are none; MissingEdgeError if
     one is not an edge of g. Every removal set is checked here, and only
-    here."""
+    here; the neighbour tuples it does not change are g's own."""
     drop = {norm_edge(u, v) for u, v in edges}
     for e in drop:
         if not g.has_edge(*e):
             raise MissingEdgeError(f"{e} is not an edge")
     if not drop:
         return g
-    return Graph(g.vertices, (f for f in g.edges() if f not in drop))
+    adj = dict(g._adj)
+    for v in {v for e in drop for v in e}:
+        adj[v] = tuple(w for w in adj[v] if norm_edge(v, w) not in drop)
+    return Graph._of(adj)
 
 
 def contract_edges(g: Graph, contract: Iterable[Edge]) -> Tuple[Graph, Dict[int, int]]:
@@ -152,11 +163,14 @@ def contract_edges(g: Graph, contract: Iterable[Edge]) -> Tuple[Graph, Dict[int,
     dropped, so the result is again simple. Returns the contracted graph
     and the vertex mapping old id -> merged id; each merge keeps the lower
     id of the pair, and merges chain through unions of contracted edges.
+    With nothing to contract, g itself and the identity.
     """
     contract = [norm_edge(u, v) for u, v in contract]
     for e in contract:
         if not g.has_edge(*e):
             raise MissingEdgeError(f"{e} is not an edge")
+    if not contract:
+        return g, {v: v for v in g.vertices}
     mapping = component_roots(g.vertices, contract)
     edges = {
         norm_edge(mapping[u], mapping[v])

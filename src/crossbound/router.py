@@ -7,14 +7,15 @@ arcs. Every arc costs one, so a route crosses as few edges as the fixed
 embedding allows. That is at most floor((2n - 7) / 3): triangulating the
 embedding only adds edges, and its cheapest dual path is never shorter.
 
-build_drawing iterates this over a whole removal set in one embedding.
-_splice, the one writer of a route into a rotation system, turns every
-crossing into a degree-4 dummy around which the two edges alternate, so
-the next route sees the earlier ones as ordinary crossable edges. The
-spliced embedding is the drawing's one record: its Euler check certifies
-the planarization, the SVG is laid out in it, and every chain and the
-route that made each dummy are read off its rotation system. The crossing
-count is reported next to the closed-form skewness bound.
+build_drawing iterates this over a whole removal set in one working
+rotation system. _splice, its one writer, turns every crossing into a
+degree-4 dummy around which the two edges alternate, so the next route
+sees the earlier ones as ordinary crossable edges. The drawing's one
+embedding is built from the result: its single Euler check certifies the
+planarization and every intermediate one, the SVG is laid out in it, and
+every chain and the route that made each dummy are read off its rotation
+system. The crossing count is reported next to the closed-form skewness
+bound.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .bounds import skewness_crossing_bound
-from .embedding import RotationEmbedding, dual, embedding_of, require_connected, triangulate
+from .embedding import RotationEmbedding, embedding_of, require_connected, triangulate
 from .errors import CrossboundError, MissingEdgeError
 from .graph import Edge, Graph, delete_edges, norm_edge
 from .skewness import SkewnessCertificate
@@ -49,38 +50,50 @@ class EdgeRoute:
     crossed: Tuple[Edge, ...]
 
 
-def _cheapest_dual_path(
-    nbrs: Dict[int, List[Tuple[int, Edge]]], sources, sinks
-) -> Tuple[Tuple[int, ...], Tuple[Edge, ...]]:
-    """Fewest-arc dual path from any source face to any sink face.
+class _Working:
+    """A rotation system being drawn in: ``rot`` holds each vertex's cyclic
+    order as a list, ``face_of`` the face left of each dart (directed edge),
+    ``walks`` each face's darts in walk order. A face is named by its least
+    dart; a connected RotationEmbedding numbers faces in that order."""
 
-    Breadth-first from the sinks, one level at a time in face-id order,
-    up to the first level that holds a source: a face's parent is its
-    lowest-id neighbour one level closer to the sinks, over their lowest
-    arc, and the path starts at the lowest-id source of that level.
-    """
-    sources = set(sources)
-    parent: Dict[int, Optional[Tuple[int, Edge]]] = {f: None for f in sinks}
-    level = sorted(parent)
-    while not sources.intersection(level):
-        reached = []
-        for f in level:
-            for g2, e in nbrs[f]:
-                if g2 not in parent:
-                    parent[g2] = (f, e)
-                    reached.append(g2)
-        if not reached:
-            raise CrossboundError("dual graph is disconnected between the endpoints")
-        level = sorted(reached)
-    start = min(sources.intersection(level))
-    faces = [start]
-    arcs: List[Edge] = []
-    f = start
-    while parent[f] is not None:
-        f, e = parent[f]
-        faces.append(f)
-        arcs.append(e)
-    return tuple(faces), tuple(arcs)
+    def __init__(self, emb: RotationEmbedding):
+        self.rot = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
+        self.face_of: Dict[Edge, Edge] = {}
+        self.walks: Dict[Edge, List[Edge]] = {}
+        for face in emb.faces:  # each traced from its least dart
+            b = face.boundary
+            self.walks[b[:2]] = walk = list(zip(b, b[1:] + b[:1]))
+            self.face_of.update(dict.fromkeys(walk, b[:2]))
+
+    def route(self, v1: int, v2: int) -> Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]:
+        """Fewest-arc dual path from a face at v1 to a face at v2: the faces
+        it passes, by name, and the edges it crosses between them.
+
+        Breadth-first from v2's faces, one level at a time in face order,
+        up to the first level that holds a face at v1: a face's parent is
+        its least neighbour one level closer to v2, over their least edge,
+        and the path starts at the least face at v1 of that level. A face's
+        arcs are read off its own walk, so only the faces reached are read."""
+        sources = {self.face_of[(v1, w)] for w in self.rot[v1]}
+        parent: Dict[Edge, Optional[tuple]] = {self.face_of[(v2, w)]: None for w in self.rot[v2]}
+        level = sorted(parent)
+        while not sources.intersection(level):
+            reached = []
+            for f in level:
+                across = {(self.face_of[(v, u)], norm_edge(u, v)) for u, v in self.walks[f]}
+                for f2, e in sorted(across):
+                    if f2 not in parent:
+                        parent[f2] = (f, e)
+                        reached.append(f2)
+            if not reached:
+                raise CrossboundError("dual graph is disconnected between the endpoints")
+            level = sorted(reached)
+        faces, crossed = [min(sources.intersection(level))], []
+        while parent[faces[-1]] is not None:
+            f, e = parent[faces[-1]]
+            faces.append(f)
+            crossed.append(e)
+        return tuple(faces), tuple(crossed)
 
 
 def insert_edge(emb: RotationEmbedding, e: Edge) -> EdgeRoute:
@@ -94,10 +107,8 @@ def insert_edge(emb: RotationEmbedding, e: Edge) -> EdgeRoute:
         raise MissingEdgeError(f"endpoint of {e} missing from the graph")
     if g.has_edge(v1, v2):
         raise CrossboundError(f"{e} is already an edge")
-    faces, crossed = _cheapest_dual_path(
-        dual(emb), emb.faces_incident_to(v1), emb.faces_incident_to(v2)
-    )
-    return EdgeRoute(norm_edge(v1, v2), faces, crossed)
+    faces, crossed = _Working(emb).route(v1, v2)
+    return EdgeRoute(norm_edge(v1, v2), tuple(emb.face_of(*f) for f in faces), crossed)
 
 
 @dataclass(frozen=True)
@@ -133,48 +144,82 @@ class PlanarizationDrawing:
         return self.crossing_count <= self.bound
 
 
-def _splice(emb: RotationEmbedding, route: EdgeRoute, first_id: int) -> RotationEmbedding:
-    """emb with route drawn in: its i-th crossing becomes the degree-4 dummy
+def _splice(work: _Working, e: Edge, faces: tuple, crossed: tuple, first_id: int):
+    """Draw the route of e (its faces by name, and the edges it crosses)
+    into work, in place: its i-th crossing becomes the degree-4 dummy
     first_id + i, around which the crossed edge and the route alternate.
-    Euler-checked, so the result is planar."""
-    path = [route.edge[0], *range(first_id, first_id + len(route.crossed)), route.edge[1]]
-    rot = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
+
+    Only the route's faces are re-traced. A dart whose successor changes
+    is new, or precedes (x, y) on face i or (y, x) on face i + 1, or enters
+    an endpoint on an end face: so every face off the route keeps its walk,
+    and each new face is traced from its least dart, which names it.
+    build_drawing Euler-checks only the final result."""
+    path = [e[0], *range(first_id, first_id + len(crossed)), e[1]]
+    rot, face_of = work.rot, work.face_of
     # dummy i splits crossed edge i, oriented (x, y) with face i on its
     # left; around it come x, the previous route vertex, y, the next one
-    for i, (a, b) in enumerate(route.crossed):
+    for i, (a, b) in enumerate(crossed):
         dv = path[i + 1]
-        x, y = (a, b) if emb.face_of(a, b) == route.face_sequence[i] else (b, a)
+        x, y = (a, b) if face_of[(a, b)] == faces[i] else (b, a)
         rot[x][rot[x].index(y)] = rot[y][rot[y].index(x)] = dv
         rot[dv] = [x, path[i], y, path[i + 2]]
     # each endpoint enters the route's end face after a neighbour on it
-    for end, nxt, face in ((path[0], path[1], route.face_sequence[0]),
-                           (path[-1], path[-2], route.face_sequence[-1])):
-        w = min(w for w in emb.graph.neighbors(end) if emb.face_of(w, end) == face)
+    for end, nxt, face in ((path[0], path[1], faces[0]), (path[-1], path[-2], faces[-1])):
+        w = min(w for w in rot[end] if face_of[(w, end)] == face)
         rot[end].insert(rot[end].index(w) + 1, nxt)
-    edges = ((v, w) for v, nbrs in rot.items() for w in nbrs if v < w)
-    return RotationEmbedding(Graph(rot, edges), rot)
+    tails = set(path)
+    for f in faces:
+        for d in work.walks.pop(f):
+            del face_of[d]
+            tails.add(d[0])
+    for start in sorted((u, w) for u in tails for w in rot[u]):
+        if start in face_of:
+            continue
+        walk = work.walks[start] = []
+        u, v = start
+        while (u, v) not in face_of:
+            face_of[(u, v)] = start
+            walk.append((u, v))
+            nbrs = rot[v]
+            u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
 
 
 def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
     """Insert every removed edge back into the planar base, one at a time,
-    each routed in the embedding the earlier ones were spliced into, and
-    count the crossings.
+    each routed in the rotation system the earlier ones were spliced into,
+    and count the crossings.
 
     The base embedding is the certificate's (``cert.embedding``, through
     embedding.embedding_of): the one skewness_exact checked, with no
     further planarity test, or for a hand-built certificate one built here
     (NonPlanarError, with a witness, if the removal set does not
-    planarize). The base must be connected, with at least 2 vertices."""
+    planarize). The base must be connected, with at least 2 vertices.
+
+    The routes go into one working rotation system, whose embedding is
+    built and Euler-checked once, at the end. That certifies every
+    intermediate planarization too: each is the final one with the later
+    routes deleted and their dummies smoothed, and neither step can make a
+    plane rotation system non-plane. Each is connected, as the base is, so
+    the ranks of a route's face names are its face ids in each."""
     removed = sorted(norm_edge(u, v) for u, v in cert.removed)
     base_graph = delete_edges(g, removed)
-    require_connected(base_graph)
+    if cert.embedding is None:  # before an embedding of a disconnected base is tried
+        require_connected(base_graph)
     base_emb = embedding_of(base_graph, cert.embedding)
+    if base_graph.n < 2 or base_emb.component_count != 1:  # no second union-find
+        require_connected(base_graph)
     emb = base_emb
     routes: List[EdgeRoute] = []
     first_dummy = max(g.vertices) + 1
-    for e in removed:
-        routes.append(insert_edge(emb, e))
-        emb = _splice(emb, routes[-1], first_dummy + emb.graph.n - g.n)
+    if removed:
+        work = _Working(base_emb)
+        for e in removed:
+            faces, crossed = work.route(*e)
+            ids = tuple(map(sorted(work.walks).index, faces))  # ranks of the names
+            routes.append(EdgeRoute(e, ids, crossed))
+            _splice(work, e, faces, crossed, first_dummy + len(work.rot) - g.n)
+        edges = ((v, w) for v, nbrs in work.rot.items() for w in nbrs if v < w)
+        emb = RotationEmbedding(Graph(work.rot, edges), work.rot)
 
     # a chain leaves an original vertex, runs straight through each dummy to
     # the opposite neighbour in its 4-rotation, and its far end names the
@@ -225,7 +270,8 @@ def strip_routes(drawing: PlanarizationDrawing) -> Graph:
 # -- rendering ---------------------------------------------------------------
 
 
-def _drawing_dict(drawing: PlanarizationDrawing) -> dict:
+def drawing_dict(drawing: PlanarizationDrawing) -> dict:
+    """The drawing's JSON certificate, as render dumps it."""
     # _splice numbers a route's dummies in order along it
     made: Dict[Edge, List[dict]] = {route.edge: [] for route in drawing.routes}
     for dv, (maker, crossed) in drawing.dummy_map.items():
@@ -341,7 +387,7 @@ def render(drawing: PlanarizationDrawing, fmt: str = "json") -> bytes:
     picture with crossings as x-marks."""
     if fmt == "json":
         return (
-            json.dumps(_drawing_dict(drawing), separators=(",", ":")) + "\n"
+            json.dumps(drawing_dict(drawing), separators=(",", ":")) + "\n"
         ).encode("ascii")
     if fmt == "svg":
         return _svg(drawing)

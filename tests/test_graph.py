@@ -137,6 +137,29 @@ def test_deleting_no_edges_shares_the_graph(c4):
         delete_edges(c4, [(0, 2)])
 
 
+def test_derived_graphs_equal_graphs_built_from_scratch():
+    # delete_edges re-filters only the removed edges' endpoints and shares
+    # every other neighbour tuple with its source
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        g = Graph.from_networkx(nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(10**6)))
+        if not g.m:
+            continue
+        drop = rng.sample(g.edges(), rng.randint(1, g.m))
+        derived = delete_edges(g, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in drop])
+        scratch = Graph(g.vertices, set(g.edges()) - set(drop))
+        assert derived == scratch and hash(derived) == hash(scratch)
+        assert derived.edges() == scratch.edges()
+        assert list(derived.adjacency().items()) == list(scratch.adjacency().items())
+        ends = {v for e in drop for v in e}
+        for v in g.vertices:
+            if v not in ends:
+                assert derived.neighbors(v) is g.neighbors(v)
+        h, mapping = contract_edges(g, [])
+        assert h is g and mapping == {v: v for v in g.vertices}
+
+
 def test_contract_c4_gives_c3(c4):
     h, mapping = contract_edges(c4, [(0, 1)])
     assert h.n == 3 and h.m == 3

@@ -6,8 +6,8 @@ import random
 import networkx as nx
 import pytest
 
-from crossbound import embedding
-from crossbound.embedding import embed, is_planar
+from crossbound import embedding, router
+from crossbound.embedding import RotationEmbedding, embed, is_planar
 from crossbound.errors import (CrossboundError, GraphFormatError, MissingEdgeError,
                                NonPlanarError)
 from crossbound.generators import (
@@ -216,6 +216,68 @@ def test_strip_routes_roundtrip():
     for g, cert in inputs:
         drawing = build_drawing(g, cert)
         assert strip_routes(drawing) == drawing.base.graph
+
+
+def _respliced(emb, route, first_id):
+    """emb with route drawn in, rebuilt and re-traced from scratch: every
+    crossing a degree-4 dummy, as build_drawing splices it."""
+    path = [route.edge[0], *range(first_id, first_id + len(route.crossed)), route.edge[1]]
+    rot = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
+    for i, (a, b) in enumerate(route.crossed):
+        x, y = (a, b) if emb.face_of(a, b) == route.face_sequence[i] else (b, a)
+        rot[x][rot[x].index(y)] = rot[y][rot[y].index(x)] = path[i + 1]
+        rot[path[i + 1]] = [x, path[i], y, path[i + 2]]
+    for end, nxt, face in ((path[0], path[1], route.face_sequence[0]),
+                           (path[-1], path[-2], route.face_sequence[-1])):
+        w = min(w for w in emb.graph.neighbors(end) if emb.face_of(w, end) == face)
+        rot[end].insert(rot[end].index(w) + 1, nxt)
+    edges = [(v, w) for v, nbrs in rot.items() for w in nbrs if v < w]
+    return RotationEmbedding(Graph(rot, edges), rot)
+
+
+def test_route_faces_match_a_full_retrace():
+    """build_drawing re-traces only the faces along each route; every
+    route equals insert_edge's in its planarization rebuilt from scratch,
+    and so does the final rotation system."""
+    graphs = [complete(5), complete(6), complete_bipartite(3, 4), complete_bipartite(4, 4),
+              *map(named, NAMED)]
+    inputs = [(g, skewness_exact(g)) for g in graphs]
+    rng = random.Random(29)
+    for _ in range(40):
+        g, extra = planar_plus(rng.randint(20, 120), rng.randint(1, 5), rng)
+        inputs.append((g, SkewnessCertificate(len(extra), frozenset(extra), exact=False)))
+    routes = 0
+    for g, cert in inputs:
+        drawing = build_drawing(g, cert)
+        emb = drawing.base
+        for route in drawing.routes:
+            assert insert_edge(emb, route.edge) == route
+            emb = _respliced(emb, route, max(g.vertices) + 1 + emb.graph.n - g.n)
+            routes += 1
+        assert emb.rotation == drawing.embedding.rotation
+    assert routes >= 100
+
+
+def test_one_rotation_embedding_per_drawing(monkeypatch, k6):
+    """Every route is spliced into one working rotation system, and the
+    drawing's RotationEmbedding is built from it once."""
+    built = []
+
+    def counted(*args):
+        built.append(1)
+        return RotationEmbedding(*args)
+
+    rng = random.Random(31)
+    inputs = [(k6, skewness_exact(k6))]
+    for _ in range(4):
+        g, extra = planar_plus(rng.randint(20, 60), rng.randint(3, 5), rng)
+        inputs.append((g, SkewnessCertificate(len(extra), frozenset(extra), exact=False)))
+    for g, cert in inputs:
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(router, "RotationEmbedding", counted)
+            drawing = build_drawing(g, cert)
+        assert len(drawing.routes) >= 3 and len(built) == 1
 
 
 def test_every_dummy_is_a_crossing(k5, k6, petersen):

@@ -110,11 +110,40 @@ def test_cycle_witness_has_one_constructor():
     assert _callers(SOURCES[0].parent / "lightcycle.py", "CycleWitness") == ["_witness"]
 
 
-def test_splice_is_the_one_rotation_writer_in_router():
-    # a drawing's rotation system changes only by splicing a route into it
+def test_build_drawing_builds_the_one_embedding_in_router():
+    # every route is spliced into one working rotation system, and the
+    # drawing's RotationEmbedding is built from it once, at the end
     router = SOURCES[0].parent / "router.py"
     assert router.read_text().count("RotationEmbedding(") == 1
-    assert _callers(router, "RotationEmbedding") == ["_splice"]
+    assert _callers(router, "RotationEmbedding") == ["build_drawing"]
+
+
+def _roots_at(node, name: str) -> bool:
+    """Whether node is the container ``name`` (a variable or an attribute),
+    or an item of it, at any depth."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def test_splice_is_the_one_writer_of_the_working_rotation():
+    # a drawing's rotation system changes only by splicing a route into
+    # it: no other function assigns into `rot`, deletes from it, or calls
+    # a mutating method on it or on one of its lists
+    mutators = {"insert", "append", "extend", "remove", "pop", "clear", "sort", "reverse",
+                "update", "setdefault", "popitem", "__setitem__", "__delitem__"}
+    writers = set()
+    for fn in ast.walk(ast.parse((SOURCES[0].parent / "router.py").read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                       else [node.target] if isinstance(node, ast.AugAssign) else [])
+            if any(isinstance(t, ast.Subscript) and _roots_at(t, "rot") for t in targets) or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in mutators and _roots_at(node.func.value, "rot")):
+                writers.add(fn.name)
+    assert writers == {"_splice"}, writers
 
 
 def test_graph6_writer_is_not_networkx():
