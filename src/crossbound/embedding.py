@@ -9,7 +9,9 @@ escape this module. Face lengths then sum to 2|E| and face weights to |V|
 by construction.
 
 Face weights are exact rationals, computed when read: a vertex
-contributes 1/deg once per appearance on the boundary walk.
+contributes 1/deg once per appearance on the boundary walk. Working is
+the one editable rotation system, which re-traces only the faces an edit
+changed: triangulate splits faces and the router splices routes in it.
 
 Every yes/no planarity test and every embedding runs crossbound's own
 left-right test (``_lr``), a port of networkx's that gives networkx's
@@ -106,6 +108,80 @@ class RotationEmbedding:
         return tuple(sorted({self.face_of(v, w) for w in self.graph.neighbors(v)}))
 
 
+class Working:
+    """An embedding's rotation system being edited: ``rot`` holds each
+    vertex's cyclic order as a list, ``face_of`` the face left of each dart
+    (directed edge), ``walks`` each face's boundary. A face is named by its
+    least dart, from which it is traced; a connected RotationEmbedding
+    numbers faces in that order. Edit ``rot``, then retrace the faces."""
+
+    __slots__ = ("rot", "face_of", "walks")
+
+    def __init__(self, emb: RotationEmbedding):
+        self.rot = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
+        names = [face.boundary[:2] for face in emb.faces]  # each traced from its least dart
+        self.face_of: Dict[Edge, Edge] = {d: names[f] for d, f in emb._face_of.items()}
+        self.walks = {face.boundary[:2]: face.boundary for face in emb.faces}
+
+    def retrace(self, faces: Collection[Edge], tails: Collection[int]) -> List[Edge]:
+        """Re-trace after an edit of ``rot`` that changed only successors of
+        darts on ``faces`` and added darts only at ``tails``: the darts left
+        without a face are traced least first, so each new face is traced
+        from its least dart, which names it. Returns the new names."""
+        rot, face_of = self.rot, self.face_of
+        for f in faces:
+            walk = self.walks.pop(f)
+            tails = {*tails, *walk}
+            for d in zip(walk, walk[1:] + walk[:1]):
+                del face_of[d]
+        new = []
+        for start in sorted([(u, w) for u in tails for w in rot[u] if (u, w) not in face_of]):
+            if start in face_of:
+                continue
+            walk = []
+            u, v = start
+            while (u, v) not in face_of:
+                face_of[(u, v)] = start
+                walk.append(u)
+                nbrs = rot[v]
+                u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
+            self.walks[start] = tuple(walk)
+            new.append(start)
+        return new
+
+    def route(self, v1: int, v2: int) -> Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]:
+        """Fewest-arc dual path from a face at v1 to a face at v2: the faces
+        it passes, by name, and the edges it crosses between them.
+
+        Breadth-first from v2's faces, one level at a time in face order,
+        up to the first level that holds a face at v1: a face's parent is
+        its least neighbour one level closer to v2, over their least edge,
+        and the path starts at the least face at v1 of that level. A face's
+        arcs are read off its own walk, so only the faces reached are read."""
+        sources = {self.face_of[(v1, w)] for w in self.rot[v1]}
+        parent: Dict[Edge, Optional[tuple]] = {self.face_of[(v2, w)]: None for w in self.rot[v2]}
+        level = sorted(parent)
+        while not sources.intersection(level):
+            reached = []
+            for f in level:
+                walk = self.walks[f]
+                across = {(self.face_of[(v, u)], norm_edge(u, v))
+                          for u, v in zip(walk, walk[1:] + walk[:1])}
+                for f2, e in sorted(across):
+                    if f2 not in parent:
+                        parent[f2] = (f, e)
+                        reached.append(f2)
+            if not reached:
+                raise CrossboundError("dual graph is disconnected between the endpoints")
+            level = sorted(reached)
+        faces, crossed = [min(sources.intersection(level))], []
+        while parent[faces[-1]] is not None:
+            f, e = parent[faces[-1]]
+            faces.append(f)
+            crossed.append(e)
+        return tuple(faces), tuple(crossed)
+
+
 def planar_nx(gn: nx.Graph) -> bool:
     """Yes/no planarity test of a networkx graph: the LR test phase alone,
     with no embedding and no witness built."""
@@ -195,8 +271,9 @@ def dual(emb: RotationEmbedding) -> Dict[int, List[Tuple[int, Edge]]]:
     """Dual of an embedding as an adjacency: each face maps to the sorted
     (face, primal edge) pairs across its edges.
 
-    Arcs keep their primal edge, so routing in the dual translates back to
-    crossed primal edges. A bridge yields a loop arc, listed once.
+    Arcs keep their primal edge; a bridge yields a loop arc, listed once.
+    No package code calls it (Working.route reads arcs off face walks); it
+    stays as exported API, tested, and patched by name by perfbench's tracer.
     """
     out: Dict[int, List[Tuple[int, Edge]]] = {f: [] for f in range(len(emb.faces))}
     for u, v in emb.graph.edges():
@@ -231,28 +308,6 @@ def _chord_positions(edges: Collection[Edge], walk: Tuple[int, ...]):
     return None
 
 
-def _insert_chord(rotation: Dict[int, list], walk: Tuple[int, ...], i: int, j: int):
-    """Split a face by a chord between walk positions i < j; returns the
-    walks of the two new faces.
-
-    With the next-edge convention used by _trace_faces (successor of the
-    incoming neighbor), inserting each endpoint right after the other
-    occurrence's walk predecessor routes the chord inside this face.
-    """
-    a, pa = walk[i], walk[i - 1]
-    c, pc = walk[j], walk[j - 1]
-    rotation[a].insert(rotation[a].index(pa) + 1, c)
-    rotation[c].insert(rotation[c].index(pc) + 1, a)
-    return walk[j:] + walk[:i + 1], walk[i:j + 1]
-
-
-def _from_least_edge(walk: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The walk rotated to start at its least directed edge, as traced."""
-    k = len(walk)
-    t = min(range(k), key=lambda t: (walk[t], walk[(t + 1) % k]))
-    return walk[t:] + walk[:t]
-
-
 def triangulate(emb: RotationEmbedding) -> Tuple[RotationEmbedding, FrozenSet[Edge]]:
     """Add chords until every face is a triangle; returns the fill edges.
 
@@ -262,31 +317,36 @@ def triangulate(emb: RotationEmbedding) -> Tuple[RotationEmbedding, FrozenSet[Ed
     existing edges, and the result is maximal planar (|E| = 3|V| - 6) for
     inputs with >= 3 vertices; a disconnected input is a GraphFormatError.
 
-    Faces are split in face-list order (least directed edge first), popped
-    from a heap of their walks; a chord changes only the face it splits,
-    and the embedding is built and validated once, at the end.
+    Faces are split in name order, popped from a heap, each chord written
+    into a Working rotation system that re-traces only the face it splits;
+    the embedding is built and validated once, at the end.
     """
     if emb.graph.n < 2 or emb.component_count != 1:  # no second union-find
         require_connected(emb.graph)
     if emb.graph.n < 3:
         raise GraphFormatError("triangulation needs at least 3 vertices")
-    rotation = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
+    heap = [f.boundary[:2] for f in emb.faces if f.length > 3]  # sorted, so a heap
+    if not heap:
+        return emb, frozenset()
+    work = Working(emb)
+    rot = work.rot
     edges = set(emb.graph.edges())
     fills = []
-    heap = [f.boundary for f in emb.faces if f.length > 3]
-    heapq.heapify(heap)
     while heap:
-        walk = heapq.heappop(heap)
+        name = heapq.heappop(heap)
+        walk = work.walks[name]
         pos = _chord_positions(edges, walk)
         if pos is None:
             raise NonPlanarError("no chord available to triangulate a long face")
         i, j = sorted(pos)
-        chord = norm_edge(walk[i], walk[j])
+        # each end goes right after its walk predecessor: into this face
+        a, c = walk[i], walk[j]
+        rot[a].insert(rot[a].index(walk[i - 1]) + 1, c)
+        rot[c].insert(rot[c].index(walk[j - 1]) + 1, a)
+        chord = norm_edge(a, c)
         edges.add(chord)
         fills.append(chord)
-        for part in _insert_chord(rotation, walk, i, j):
-            if len(part) > 3:
-                heapq.heappush(heap, _from_least_edge(part))
-    if not fills:
-        return emb, frozenset()
-    return RotationEmbedding(Graph(emb.graph.vertices, edges), rotation), frozenset(fills)
+        for part in work.retrace([name], (a, c)):
+            if len(work.walks[part]) > 3:
+                heapq.heappush(heap, part)
+    return RotationEmbedding(Graph(emb.graph.vertices, edges), rot), frozenset(fills)

@@ -7,15 +7,15 @@ arcs. Every arc costs one, so a route crosses as few edges as the fixed
 embedding allows. That is at most floor((2n - 7) / 3): triangulating the
 embedding only adds edges, and its cheapest dual path is never shorter.
 
-build_drawing iterates this over a whole removal set in one working
-rotation system. _splice, its one writer, turns every crossing into a
-degree-4 dummy around which the two edges alternate, so the next route
-sees the earlier ones as ordinary crossable edges. The drawing's one
-embedding is built from the result: its single Euler check certifies the
-planarization and every intermediate one, the SVG is laid out in it, and
-every chain and the route that made each dummy are read off its rotation
-system. The crossing count is reported next to the closed-form skewness
-bound.
+build_drawing iterates this over a whole removal set in one
+embedding.Working. _splice, the one writer of its rotation here, turns
+every crossing into a degree-4 dummy around which the two edges
+alternate, so the next route sees the earlier ones as ordinary crossable
+edges. The drawing's one embedding is built from the result: its single
+Euler check certifies the planarization and every intermediate one, the
+SVG is laid out in it, and every chain and the route that made each
+dummy are read off its rotation system. The crossing count is reported
+next to the closed-form skewness bound.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .bounds import skewness_crossing_bound
-from .embedding import RotationEmbedding, embedding_of, require_connected, triangulate
+from .embedding import RotationEmbedding, Working, embedding_of, require_connected, triangulate
 from .errors import CrossboundError, MissingEdgeError
 from .graph import Edge, Graph, delete_edges, norm_edge
 from .skewness import SkewnessCertificate
@@ -50,65 +50,19 @@ class EdgeRoute:
     crossed: Tuple[Edge, ...]
 
 
-class _Working:
-    """A rotation system being drawn in: ``rot`` holds each vertex's cyclic
-    order as a list, ``face_of`` the face left of each dart (directed edge),
-    ``walks`` each face's darts in walk order. A face is named by its least
-    dart; a connected RotationEmbedding numbers faces in that order."""
-
-    def __init__(self, emb: RotationEmbedding):
-        self.rot = {v: list(nbrs) for v, nbrs in emb.rotation.items()}
-        self.face_of: Dict[Edge, Edge] = {}
-        self.walks: Dict[Edge, List[Edge]] = {}
-        for face in emb.faces:  # each traced from its least dart
-            b = face.boundary
-            self.walks[b[:2]] = walk = list(zip(b, b[1:] + b[:1]))
-            self.face_of.update(dict.fromkeys(walk, b[:2]))
-
-    def route(self, v1: int, v2: int) -> Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]:
-        """Fewest-arc dual path from a face at v1 to a face at v2: the faces
-        it passes, by name, and the edges it crosses between them.
-
-        Breadth-first from v2's faces, one level at a time in face order,
-        up to the first level that holds a face at v1: a face's parent is
-        its least neighbour one level closer to v2, over their least edge,
-        and the path starts at the least face at v1 of that level. A face's
-        arcs are read off its own walk, so only the faces reached are read."""
-        sources = {self.face_of[(v1, w)] for w in self.rot[v1]}
-        parent: Dict[Edge, Optional[tuple]] = {self.face_of[(v2, w)]: None for w in self.rot[v2]}
-        level = sorted(parent)
-        while not sources.intersection(level):
-            reached = []
-            for f in level:
-                across = {(self.face_of[(v, u)], norm_edge(u, v)) for u, v in self.walks[f]}
-                for f2, e in sorted(across):
-                    if f2 not in parent:
-                        parent[f2] = (f, e)
-                        reached.append(f2)
-            if not reached:
-                raise CrossboundError("dual graph is disconnected between the endpoints")
-            level = sorted(reached)
-        faces, crossed = [min(sources.intersection(level))], []
-        while parent[faces[-1]] is not None:
-            f, e = parent[faces[-1]]
-            faces.append(f)
-            crossed.append(e)
-        return tuple(faces), tuple(crossed)
-
-
 def insert_edge(emb: RotationEmbedding, e: Edge) -> EdgeRoute:
     """Route the missing edge e through emb along a cheapest path in its
-    dual, crossing as few edges as the fixed embedding allows."""
-    v1, v2 = e
-    g = emb.graph
-    if v1 == v2:
+    dual, crossing as few edges as the fixed embedding allows. Either
+    orientation of e is routed from its low end, as build_drawing does."""
+    if e[0] == e[1]:
         raise CrossboundError(f"{e} is a self-loop")
-    if not (g.has_vertex(v1) and g.has_vertex(v2)):
+    v1, v2 = e = norm_edge(*e)
+    if not (emb.graph.has_vertex(v1) and emb.graph.has_vertex(v2)):
         raise MissingEdgeError(f"endpoint of {e} missing from the graph")
-    if g.has_edge(v1, v2):
+    if emb.graph.has_edge(v1, v2):
         raise CrossboundError(f"{e} is already an edge")
-    faces, crossed = _Working(emb).route(v1, v2)
-    return EdgeRoute(norm_edge(v1, v2), tuple(emb.face_of(*f) for f in faces), crossed)
+    faces, crossed = Working(emb).route(v1, v2)
+    return EdgeRoute(e, tuple(emb.face_of(*f) for f in faces), crossed)
 
 
 @dataclass(frozen=True)
@@ -144,16 +98,15 @@ class PlanarizationDrawing:
         return self.crossing_count <= self.bound
 
 
-def _splice(work: _Working, e: Edge, faces: tuple, crossed: tuple, first_id: int):
+def _splice(work: Working, e: Edge, faces: tuple, crossed: tuple, first_id: int):
     """Draw the route of e (its faces by name, and the edges it crosses)
     into work, in place: its i-th crossing becomes the degree-4 dummy
     first_id + i, around which the crossed edge and the route alternate.
 
-    Only the route's faces are re-traced. A dart whose successor changes
-    is new, or precedes (x, y) on face i or (y, x) on face i + 1, or enters
-    an endpoint on an end face: so every face off the route keeps its walk,
-    and each new face is traced from its least dart, which names it.
-    build_drawing Euler-checks only the final result."""
+    Only the route's faces are re-traced: a dart whose successor changes
+    is new, at a route vertex, or precedes (x, y) on face i or (y, x) on
+    face i + 1, or enters an endpoint on an end face. build_drawing
+    Euler-checks only the final result."""
     path = [e[0], *range(first_id, first_id + len(crossed)), e[1]]
     rot, face_of = work.rot, work.face_of
     # dummy i splits crossed edge i, oriented (x, y) with face i on its
@@ -167,21 +120,7 @@ def _splice(work: _Working, e: Edge, faces: tuple, crossed: tuple, first_id: int
     for end, nxt, face in ((path[0], path[1], faces[0]), (path[-1], path[-2], faces[-1])):
         w = min(w for w in rot[end] if face_of[(w, end)] == face)
         rot[end].insert(rot[end].index(w) + 1, nxt)
-    tails = set(path)
-    for f in faces:
-        for d in work.walks.pop(f):
-            del face_of[d]
-            tails.add(d[0])
-    for start in sorted((u, w) for u in tails for w in rot[u]):
-        if start in face_of:
-            continue
-        walk = work.walks[start] = []
-        u, v = start
-        while (u, v) not in face_of:
-            face_of[(u, v)] = start
-            walk.append((u, v))
-            nbrs = rot[v]
-            u, v = v, nbrs[(nbrs.index(u) + 1) % len(nbrs)]
+    work.retrace(faces, path)
 
 
 def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
@@ -195,11 +134,11 @@ def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
     (NonPlanarError, with a witness, if the removal set does not
     planarize). The base must be connected, with at least 2 vertices.
 
-    The routes go into one working rotation system, whose embedding is
-    built and Euler-checked once, at the end. That certifies every
-    intermediate planarization too: each is the final one with the later
-    routes deleted and their dummies smoothed, and neither step can make a
-    plane rotation system non-plane. Each is connected, as the base is, so
+    The routes are found in and spliced into one embedding.Working, whose
+    embedding is built and Euler-checked once, at the end. That certifies
+    every intermediate planarization too: each is the final one with the
+    later routes deleted and their dummies smoothed, and neither step can
+    make a plane rotation system non-plane. Each is connected, as the base is, so
     the ranks of a route's face names are its face ids in each."""
     removed = sorted(norm_edge(u, v) for u, v in cert.removed)
     base_graph = delete_edges(g, removed)
@@ -212,7 +151,7 @@ def build_drawing(g: Graph, cert: SkewnessCertificate) -> PlanarizationDrawing:
     routes: List[EdgeRoute] = []
     first_dummy = max(g.vertices) + 1
     if removed:
-        work = _Working(base_emb)
+        work = Working(base_emb)
         for e in removed:
             faces, crossed = work.route(*e)
             ids = tuple(map(sorted(work.walks).index, faces))  # ranks of the names

@@ -99,8 +99,9 @@ def flat_level_witness(g: Graph, pool, k):
 def chord_by_chord_triangulate(emb):
     """Reference for ``triangulate``: split the first long face of the
     current embedding, rebuild the whole embedding, repeat. Quadratic, but
-    every step's face list comes from a fresh trace."""
-    from crossbound.embedding import RotationEmbedding, _chord_positions, _insert_chord
+    every step's face list comes from a fresh trace. It shares only the
+    choice of chord with the package, and inserts each chord itself."""
+    from crossbound.embedding import RotationEmbedding, _chord_positions
     from crossbound.graph import norm_edge
 
     cur = emb
@@ -110,9 +111,13 @@ def chord_by_chord_triangulate(emb):
         target = next((f for f in cur.faces if f.length > 3), None)
         if target is None:
             return cur, frozenset(fills)
-        i, j = _chord_positions(set(cur.graph.edges()), target.boundary)
-        _insert_chord(rotation, target.boundary, i, j)
-        chord = norm_edge(target.boundary[i], target.boundary[j])
+        walk = target.boundary
+        i, j = _chord_positions(set(cur.graph.edges()), walk)
+        # the next-edge walk leaves a vertex after its predecessor in the
+        # rotation, so each end goes right after its predecessor on the walk
+        for x, y, before in ((walk[i], walk[j], walk[i - 1]), (walk[j], walk[i], walk[j - 1])):
+            rotation[x].insert(rotation[x].index(before) + 1, y)
+        chord = norm_edge(walk[i], walk[j])
         fills.add(chord)
         g2 = Graph(cur.graph.vertices, cur.graph.edges() + (chord,))
         cur = RotationEmbedding(g2, {v: tuple(nbrs) for v, nbrs in rotation.items()})

@@ -302,11 +302,22 @@ def _random_sparse_planar(rng):
     return Graph(range(n), edges)
 
 
+def _drawing_planarizations():
+    """Embeddings of drawing planarizations, as the SVG layout triangulates
+    them: every crossing a degree-4 dummy, up to the n = 100 drawings."""
+    from crossbound.router import build_drawing
+    from crossbound.skewness import SkewnessCertificate
+
+    for seed, (n, t) in enumerate([(20, 1), (30, 2), (50, 3), (60, 5), (100, 3), (100, 4)]):
+        g, extra = planar_plus(n, t, random.Random(seed))
+        yield build_drawing(g, SkewnessCertificate(t, frozenset(extra), exact=False)).embedding
+
+
 def test_triangulate_matches_chord_by_chord_reference():
     rng = random.Random(23)
     long_faces = 0
-    for _ in range(120):
-        emb = embed(_random_sparse_planar(rng))
+    planarizations = list(_drawing_planarizations())
+    for emb in [embed(_random_sparse_planar(rng)) for _ in range(120)] + planarizations:
         long_faces += any(f.length > 3 for f in emb.faces)
         tri, fills = triangulate(emb)
         ref, ref_fills = chord_by_chord_triangulate(emb)
@@ -314,7 +325,8 @@ def test_triangulate_matches_chord_by_chord_reference():
         assert tri.graph == ref.graph
         assert tri.rotation == ref.rotation
         assert [f.boundary for f in tri.faces] == [f.boundary for f in ref.faces]
-    assert long_faces >= 100
+    assert long_faces >= 100 + len(planarizations)
+    assert all(emb.graph.n > 100 for emb in planarizations[-2:])  # with crossing dummies
 
 
 def test_triangulate_builds_one_embedding(monkeypatch):

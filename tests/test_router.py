@@ -77,6 +77,20 @@ def test_insert_rejects_existing_edge_and_missing_vertex(k4):
         insert_edge(embed(k4), (1, 1))
 
 
+def test_insert_edge_routes_either_orientation_from_the_low_end():
+    """insert_edge(emb, (v, u)) is insert_edge(emb, (u, v)): the route is
+    labelled and drawn from the low end, as build_drawing routes it."""
+    for seed in range(12):
+        g, extra = planar_plus(30, 1, random.Random(seed))
+        (u, v), = extra
+        emb = embed(delete_edge(g, (u, v)))
+        route = insert_edge(emb, (u, v))
+        assert insert_edge(emb, (v, u)) == route
+        assert route.edge == (u, v) and u < v
+        assert route.face_sequence[0] in emb.faces_incident_to(u)
+        _route_is_consistent(emb, route)
+
+
 def _fewest_crossings(emb, v1, v2):
     """Crossings of a shortest route from v1 to v2, computed apart from the
     router: faces as nodes, one arc per primal edge, a super source joined

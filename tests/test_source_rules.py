@@ -146,6 +146,73 @@ def test_splice_is_the_one_writer_of_the_working_rotation():
     assert writers == {"_splice"}, writers
 
 
+def _functions(path: Path):
+    """(name, node) of every top-level function and method of a source
+    file, a method named Class.method."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def _writes_into(fn, attrs, names) -> bool:
+    """Whether fn assigns into, deletes from or calls a mutating method on
+    a container that is an attribute named in ``attrs`` or a variable
+    named in ``names``, or on an item of one."""
+    mutators = {"insert", "append", "extend", "remove", "pop", "clear", "sort", "reverse",
+                "update", "setdefault", "popitem", "__setitem__", "__delitem__"}
+
+    def rooted(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return getattr(node, "attr", None) in attrs or getattr(node, "id", None) in names
+
+    for node in ast.walk(fn):
+        targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                   else [node.target] if isinstance(node, ast.AugAssign) else [])
+        if any(isinstance(t, ast.Subscript) and rooted(t) for t in targets) or (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in mutators and rooted(node.func.value)):
+            return True
+    return False
+
+
+def _aliases(fn, attrs):
+    """The variables fn binds to an attribute named in ``attrs``, by a
+    plain or a tuple assignment."""
+    found = set()
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = (zip(target.elts, node.value.elts)
+                     if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                     else [(target, node.value)])
+            found.update(t.id for t, v in pairs if isinstance(t, ast.Name)
+                         and isinstance(v, ast.Attribute) and v.attr in attrs)
+    return found
+
+
+def test_retrace_is_the_one_writer_of_a_working_rotations_faces():
+    # a working rotation's faces change only by re-tracing: no other
+    # function writes its face_of or walks, directly or through a
+    # variable bound to them, and router.py writes into neither at all
+    faces = {"face_of", "walks"}
+    writers = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name, fn in _functions(path)
+        if _writes_into(fn, faces, _aliases(fn, faces))
+    ]
+    assert writers == ["embedding.py:Working.retrace"], writers
+    router = SOURCES[0].parent / "router.py"
+    found = [name for name, fn in _functions(router) if _writes_into(fn, faces, faces)]
+    assert found == [], found
+
+
 def test_graph6_writer_is_not_networkx():
     # networkx's writer walks all n(n-1)/2 vertex pairs in Python
     found = [path.name for path in SOURCES if "to_graph6_bytes" in path.read_text()]
